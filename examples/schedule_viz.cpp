@@ -21,7 +21,7 @@ void RenderDiskSchedule() {
   TigerConfig config;
   config.shape = SystemShape{4, 1, 2};
   Testbed testbed(config, 11);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(4, Duration::Seconds(120));
   testbed.Start();
   for (int i = 0; i < 9; ++i) {

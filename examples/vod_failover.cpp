@@ -15,7 +15,7 @@ int main() {
 
   TigerConfig config;  // 14 cubs x 4 disks, decluster 4 — the §5 testbed.
   Testbed testbed(config, /*seed=*/7);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(/*count=*/32, /*file_duration=*/Duration::Seconds(600));
   testbed.Start();
 
@@ -59,8 +59,8 @@ int main() {
   std::printf("  mirror takeovers          : %lld\n", static_cast<long long>(cubs.takeovers));
   std::printf("  failures detected         : %lld (deadman protocol)\n",
               static_cast<long long>(cubs.failures_detected));
-  std::printf("  schedule conflicts        : %d (must be 0)\n",
-              testbed.system().oracle()->conflict_count());
+  std::printf("  schedule violations       : %zu (must be 0)\n",
+              testbed.system().invariant_checker()->violations().size());
 
   TimePoint b = testbed.sim().Now();
   TimePoint a = b - Duration::Seconds(20);

@@ -107,8 +107,8 @@ const char* ScheduleAuditor::HopKindName(HopKind kind) {
   return "?";
 }
 
-ScheduleAuditor::ScheduleAuditor(Simulator* sim, const TigerConfig* config, Options options)
-    : Actor(sim, "auditor"), config_(config), options_(options) {
+ScheduleAuditor::ScheduleAuditor(Simulator* sim, const TigerConfig* config)
+    : Actor(sim, "auditor"), config_(config) {
   TIGER_CHECK(config != nullptr);
 }
 
@@ -133,15 +133,15 @@ void ScheduleAuditor::Start() {
     // Sharded: check at barriers, where every shard is quiesced and all
     // journals have applied — an actor timer on one shard would race the
     // others' views.
-    system_->engine()->AddPeriodicTask(options_.period, [this] { CheckNow(); });
+    system_->engine()->AddPeriodicTask(kPeriod, [this] { CheckNow(); });
     return;
   }
-  After(options_.period, [this] { Tick(); });
+  After(kPeriod, [this] { Tick(); });
 }
 
 void ScheduleAuditor::Tick() {
   CheckNow();
-  After(options_.period, [this] { Tick(); });
+  After(kPeriod, [this] { Tick(); });
 }
 
 void ScheduleAuditor::CheckNow() {
@@ -259,7 +259,7 @@ void ScheduleAuditor::CheckArithmetic(ChainState& chain, const ViewerStateRecord
 }
 
 void ScheduleAuditor::AppendHop(ChainState& chain, Hop hop) {
-  if (chain.hops.size() >= options_.max_hops_per_chain) {
+  if (chain.hops.size() >= kMaxHopsPerChain) {
     chain.hops_dropped++;
     return;
   }
@@ -437,7 +437,7 @@ void ScheduleAuditor::OnKill(TimePoint when, uint32_t at, const DescheduleRecord
     // ever mentions the instance, the kill is orphaned (§4.1.2).
     if (kill.slot.valid() && !instance_chains_.contains(kill.instance.value())) {
       state.orphan_candidate = true;
-      state.orphan_deadline = when + options_.orphan_horizon;
+      state.orphan_deadline = when + kOrphanHorizon;
     }
   }
   state.hold_until =
@@ -450,7 +450,7 @@ void ScheduleAuditor::OnKill(TimePoint when, uint32_t at, const DescheduleRecord
     if (state.kill_chain == 0) {
       state.kill_chain = lineage.ChainId();
     }
-    if (state.hops.size() < options_.max_hops_per_chain) {
+    if (state.hops.size() < kMaxHopsPerChain) {
       state.hops.push_back(Hop{when, HopKind::kKillApplied, at, -1, -1, -1,
                                lineage.hop_count, lineage.lamport});
     } else {
@@ -494,7 +494,7 @@ void ScheduleAuditor::ResolvePendingForwards(TimePoint now) {
   for (auto& [id, chain] : chains_) {
     for (auto it = chain.pending.begin(); it != chain.pending.end();) {
       const PendingForward& pending = it->second;
-      if (pending.first_sent + options_.lost_horizon > now) {
+      if (pending.first_sent + kLostHorizon > now) {
         ++it;
         continue;
       }
@@ -580,12 +580,9 @@ void ScheduleAuditor::PruneState(TimePoint now) {
       return claim.due_us + play < now.micros();
     });
   }
-  if (options_.chain_retention <= Duration::Zero()) {
-    return;
-  }
   for (auto it = chains_.begin(); it != chains_.end();) {
     ChainState& chain = it->second;
-    if (chain.pending.empty() && chain.last_evidence + options_.chain_retention < now) {
+    if (chain.pending.empty() && chain.last_evidence + kChainRetention < now) {
       chains_pruned_++;
       it = chains_.erase(it);
     } else {
@@ -607,7 +604,7 @@ void ScheduleAuditor::Flag(DivergenceClass cls, TimePoint when, uint64_t chain,
   if (!dedup_.emplace(static_cast<int>(cls), scope, cub).second) {
     return;  // Same defect, same place: counted above, reported once.
   }
-  if (divergences_.size() >= options_.max_divergences) {
+  if (divergences_.size() >= kMaxDivergences) {
     divergences_overflow_++;
     return;
   }

@@ -121,31 +121,26 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   // auditor rides the same hot path it audits.
   using HopVec = std::vector<Hop, PoolAllocator<Hop>>;
 
-  struct Options {
-    Duration period = Duration::Millis(250);
-    // A forwarded record unseen anywhere this long after the send is judged:
-    // lost-and-rescued if the chain moved on, truly lost otherwise. Sized
-    // past the deadman timeout so failure re-forwarding gets its chance.
-    Duration lost_horizon = Duration::Seconds(9);
-    // A slot-targeted kill for an unknown instance must be explained by
-    // schedule evidence within this long, or it is an orphan.
-    Duration orphan_horizon = Duration::Seconds(10);
-    // Quiesced chains (no evidence, no pending forwards) older than this are
-    // pruned so auditor memory stays bounded on long runs.
-    Duration chain_retention = Duration::Seconds(600);
-    // Hop-log cap per chain; older hops beyond it are dropped (counted).
-    size_t max_hops_per_chain = 4096;
-    // Retained divergence records (raw per-class counters keep counting).
-    size_t max_divergences = 1024;
-  };
+  // Diff/resolution cadence.
+  static constexpr Duration kPeriod = Duration::Millis(250);
+  // A forwarded record unseen anywhere this long after the send is judged:
+  // lost-and-rescued if the chain moved on, truly lost otherwise. Sized past
+  // the deadman timeout so failure re-forwarding gets its chance.
+  static constexpr Duration kLostHorizon = Duration::Seconds(9);
+  // A slot-targeted kill for an unknown instance must be explained by
+  // schedule evidence within this long, or it is an orphan.
+  static constexpr Duration kOrphanHorizon = Duration::Seconds(10);
+  // Quiesced chains (no evidence, no pending forwards) older than this are
+  // pruned so auditor memory stays bounded on long runs.
+  static constexpr Duration kChainRetention = Duration::Seconds(600);
+  // Hop-log cap per chain; older hops beyond it are dropped (counted).
+  static constexpr size_t kMaxHopsPerChain = 4096;
+  // Retained divergence records (raw per-class counters keep counting).
+  static constexpr size_t kMaxDivergences = 1024;
 
   // Standalone construction: hooks, report and lineage queries work without a
-  // TigerSystem (unit tests drive the evidence interface directly). Two
-  // overloads instead of a defaulted Options argument: GCC rejects
-  // nested-class NSDMIs used in a default argument of the enclosing class.
-  ScheduleAuditor(Simulator* sim, const TigerConfig* config)
-      : ScheduleAuditor(sim, config, Options()) {}
-  ScheduleAuditor(Simulator* sim, const TigerConfig* config, Options options);
+  // TigerSystem (unit tests drive the evidence interface directly).
+  ScheduleAuditor(Simulator* sim, const TigerConfig* config);
 
   // Wires this auditor into `system`: every cub's audit hooks, the tracer's
   // live sink (when tracing is enabled), and the per-tick view diff.
@@ -299,7 +294,6 @@ class ScheduleAuditor : public Actor, public AuditObserver, public TraceSink {
   void Tick();
 
   const TigerConfig* config_;
-  Options options_;
   TigerSystem* system_ = nullptr;
 
   template <typename V>

@@ -22,7 +22,6 @@
 #include "src/core/address_book.h"
 #include "src/core/config.h"
 #include "src/core/messages.h"
-#include "src/core/oracle.h"
 #include "src/disk/disk.h"
 #include "src/layout/catalog.h"
 #include "src/layout/striping.h"

@@ -6,6 +6,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
+#include "src/core/invariant_checker.h"
 #include "src/net/payload_pool.h"
 #include "src/trace/profiler.h"
 
@@ -469,8 +470,8 @@ void Cub::SendBlock(const ViewerStateRecord::Key& key) {
   // End of file: whether or not this last block makes it out, the viewer
   // leaves the schedule and the slot becomes free.
   const bool eof = !mirror && record.position + 1 >= file.block_count;
-  if (eof && oracle_ != nullptr) {
-    oracle_->OnRemove(record.slot, record.instance, Now());
+  if (eof && checker_ != nullptr) {
+    checker_->OnRemove(record.slot, record.instance);
   }
   if (config_->simulate_data_plane && !had_block) {
     if (!entry->mirror_recovery) {
@@ -501,9 +502,8 @@ void Cub::SendBlock(const ViewerStateRecord::Key& key) {
     counters_.fragments_sent++;
   } else {
     counters_.blocks_sent++;
-    if (oracle_ != nullptr) {
-      oracle_->OnPrimarySend(record.slot, record.instance, ServingDisk(record), record.due,
-                             Now());
+    if (checker_ != nullptr) {
+      checker_->OnPrimarySend(record.slot, ServingDisk(record), record.due);
     }
   }
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kBlockSent,
@@ -645,8 +645,8 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
     next = SuccessorRecord(*next);
   }
   if (!next.has_value()) {
-    if (oracle_ != nullptr) {
-      oracle_->OnRemove(record.slot, record.instance, Now());
+    if (checker_ != nullptr) {
+      checker_->OnRemove(record.slot, record.instance);
     }
     return;
   }
@@ -876,9 +876,6 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
                                 .slot = next->slot.value(),
                                 .a = next->position,
                                 .b = targets});
-#if !TIGER_TRACING_ENABLED
-  (void)targets;
-#endif
 }
 
 void Cub::FlushBatches(BatchMap& batches) {
@@ -981,8 +978,8 @@ void Cub::OnDeschedule(const DescheduleMsg& msg) {
         FreeBuffer(ReadBytesFor(removed.record));
       }
     }
-    if (oracle_ != nullptr) {
-      oracle_->OnRemove(record.slot, record.instance, Now());
+    if (checker_ != nullptr) {
+      checker_->OnRemove(record.slot, record.instance);
     }
   }
   if (!outcome.new_hold) {
@@ -1128,8 +1125,8 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
                       TraceArgs{.viewer = record.viewer.value(),
                                 .slot = slot.value(),
                                 .a = record.position});
-  if (oracle_ != nullptr) {
-    oracle_->OnInsert(slot, record.viewer, record.instance, Now());
+  if (checker_ != nullptr) {
+    checker_->OnInsert(slot, record.instance, Now());
   }
 
   auto confirm = MakePooledMessage<StartConfirmMsg>();

@@ -32,7 +32,6 @@
 #include "src/core/config.h"
 #include "src/core/failure_view.h"
 #include "src/core/messages.h"
-#include "src/core/oracle.h"
 #include "src/disk/disk.h"
 #include "src/layout/striping.h"
 #include "src/net/network.h"
@@ -46,6 +45,8 @@
 #include "src/trace/trace.h"
 
 namespace tiger {
+
+class InvariantChecker;
 
 class Cub : public Actor, public NetworkEndpoint {
  public:
@@ -78,7 +79,8 @@ class Cub : public Actor, public NetworkEndpoint {
   // Wiring (called by TigerSystem before Start()).
   void AttachDisks(std::vector<SimulatedDisk*> disks);
   void SetAddressBook(const AddressBook* addresses) { addresses_ = addresses; }
-  void SetOracle(ScheduleOracle* oracle) { oracle_ = oracle; }
+  // Schedule-invariant hooks (test-side observer); null = unchecked.
+  void SetInvariantChecker(InvariantChecker* checker) { checker_ = checker; }
   void SetFaultStats(FaultStats* stats) { fault_stats_ = stats; }
   // QoS cause attribution: the cub annotates blocks it knows it degraded
   // (missed deadline, mirror chain, too-late record, deschedule kill) so the
@@ -240,7 +242,7 @@ class Cub : public Actor, public NetworkEndpoint {
   MessageBus* net_;
   NetAddress address_ = kInvalidAddress;
   const AddressBook* addresses_ = nullptr;
-  ScheduleOracle* oracle_ = nullptr;
+  InvariantChecker* checker_ = nullptr;
   FaultStats* fault_stats_ = nullptr;
   QosLedger* qos_ = nullptr;
   AuditObserver* auditor_ = nullptr;

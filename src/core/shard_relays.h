@@ -2,12 +2,12 @@
 //
 // In sharded runs, cubs, disks and clients execute on per-shard event loops,
 // but the observability objects they report into — the QoS ledger, fault
-// stats, the schedule oracle, the audit observer, the trace sink — are
-// process-global. Mutating them from shard context would race and, worse,
-// would interleave nondeterministically across thread counts. Each relay
-// below interposes on the write interface and defers the mutation to the
-// engine's barrier journal, where entries apply in (emission time, shard,
-// per-shard sequence) order — a total order fixed by the shard count alone.
+// stats, the audit observer, the trace sink — are process-global. Mutating
+// them from shard context would race and, worse, would interleave
+// nondeterministically across thread counts. Each relay below interposes on
+// the write interface and defers the mutation to the engine's barrier
+// journal, where entries apply in (emission time, shard, per-shard sequence)
+// order — a total order fixed by the shard count alone.
 // In driver context (construction, bootstrap, barrier tasks) the journal
 // applies immediately, so the relays are safe to call from anywhere.
 //
@@ -29,7 +29,6 @@
 
 #include "src/common/time.h"
 #include "src/core/audit_hooks.h"
-#include "src/core/oracle.h"
 #include "src/sim/shard_engine.h"
 #include "src/stats/fault_stats.h"
 #include "src/stats/qos.h"
@@ -119,39 +118,6 @@ class FaultStatsRelay : public FaultStats {
  private:
   ShardEngine* engine_;
   FaultStats* real_;
-};
-
-class OracleRelay : public ScheduleOracle {
- public:
-  OracleRelay(const ScheduleGeometry* geometry, ShardEngine* engine, ScheduleOracle* real)
-      : ScheduleOracle(geometry), engine_(engine), real_(real) {}
-
-  void OnInsert(SlotId slot, ViewerId viewer, PlayInstanceId instance, TimePoint when) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    ScheduleOracle* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_), [real, slot, viewer, instance, when] {
-      real->OnInsert(slot, viewer, instance, when);
-    });
-  }
-  void OnRemove(SlotId slot, PlayInstanceId instance, TimePoint when) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    ScheduleOracle* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_), [real, slot, instance, when] {
-      real->OnRemove(slot, instance, when);
-    });
-  }
-  void OnPrimarySend(SlotId slot, PlayInstanceId instance, DiskId disk, TimePoint due,
-                     TimePoint now) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    ScheduleOracle* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_), [real, slot, instance, disk, due, now] {
-      real->OnPrimarySend(slot, instance, disk, due, now);
-    });
-  }
-
- private:
-  ShardEngine* engine_;
-  ScheduleOracle* real_;
 };
 
 class AuditObserverRelay : public AuditObserver {

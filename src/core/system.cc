@@ -115,32 +115,21 @@ Result<FileId> TigerSystem::AddFile(std::string name, int64_t bitrate_bps, Durat
   return catalog_->AddFile(std::move(name), bitrate_bps, duration, start);
 }
 
-void TigerSystem::EnableOracle() {
-  if (!oracle_) {
-    oracle_ = std::make_unique<ScheduleOracle>(geometry_.get());
-    ScheduleOracle* sink = oracle_.get();
-    if (engine_) {
-      oracle_relay_ = std::make_unique<OracleRelay>(geometry_.get(), engine_.get(), oracle_.get());
-      sink = oracle_relay_.get();
-    }
-    for (auto& cub : cubs_) {
-      cub->SetOracle(sink);
-    }
-  }
-}
-
 void TigerSystem::EnableInvariantChecker() {
-  if (!invariant_checker_) {
-    invariant_checker_ = std::make_unique<InvariantChecker>(&sim(), this);
-    if (engine_) {
-      // The checker reads every living cub's view — only safe with all
-      // shards quiesced, so it runs as a barrier-aligned periodic task
-      // instead of an actor timer on one shard.
-      InvariantChecker* checker = invariant_checker_.get();
-      engine_->AddPeriodicTask(checker->period(), [checker] { checker->CheckNow(); });
-    } else {
-      invariant_checker_->Start();
-    }
+  if (invariant_checker_) {
+    return;
+  }
+  invariant_checker_ = std::make_unique<InvariantChecker>(this, engine_.get());
+  for (auto& cub : cubs_) {
+    cub->SetInvariantChecker(invariant_checker_.get());
+  }
+  if (engine_) {
+    // The scan reads every living cub's view — only safe with all shards
+    // quiesced, so it runs as a barrier-aligned periodic task.
+    InvariantChecker* checker = invariant_checker_.get();
+    engine_->AddPeriodicTask(InvariantChecker::kPeriod, [checker] { checker->CheckNow(); });
+  } else {
+    ScheduleInvariantCheck();
   }
 }
 
@@ -457,6 +446,13 @@ void TigerSystem::ScheduleCheckpointTick() {
   });
 }
 
+void TigerSystem::ScheduleInvariantCheck() {
+  sim_.ScheduleAfter(InvariantChecker::kPeriod, [this] {
+    invariant_checker_->CheckNow();
+    ScheduleInvariantCheck();
+  });
+}
+
 void TigerSystem::ScheduleSloTick() {
   sim_.ScheduleAfter(slo_monitor_->options().eval_cadence, [this] {
     EvaluateSlo();
@@ -703,19 +699,13 @@ void TigerSystem::Start() {
     }
   }
   if (slo_monitor_) {
-    // Breach probes poll the run's oracles. Registered here, not at enable
-    // time, so EnableSloMonitor order relative to the oracles doesn't matter.
+    // Breach probes poll the run's checkers. Registered here, not at enable
+    // time, so EnableSloMonitor order relative to them doesn't matter.
     // Fixed registration order — it is the probe order in slo_state.json.
     if (invariant_checker_) {
       InvariantChecker* checker = invariant_checker_.get();
       slo_monitor_->AddBreachProbe("invariant_violation", [checker] {
         return static_cast<int64_t>(checker->violations().size());
-      });
-    }
-    if (oracle_) {
-      ScheduleOracle* oracle = oracle_.get();
-      slo_monitor_->AddBreachProbe("oracle_conflict", [oracle] {
-        return oracle->conflict_count() + static_cast<int64_t>(oracle->violations().size());
       });
     }
     if (audit_observer_ != nullptr) {
@@ -773,7 +763,6 @@ void TigerSystem::SetTraceSink(TraceSink* sink) {
 
 void TigerSystem::InstallTraceSink() {
   TraceSink* effective = user_trace_sink_;
-#if TIGER_FLIGHT_RECORDER_ENABLED
   if (flight_recorder_ != nullptr) {
     if (user_trace_sink_ == nullptr) {
       // Recorder alone: skip the fanout hop, it is the sink.
@@ -785,7 +774,6 @@ void TigerSystem::InstallTraceSink() {
       effective = &trace_fanout_;
     }
   }
-#endif
   if (!engine_) {
     TIGER_CHECK(tracer_ != nullptr) << "SetTraceSink before EnableTracing";
     tracer_->SetSink(effective);
@@ -979,10 +967,8 @@ int TigerSystem::BootstrapStreams(int count, NetAddress sink, FileId file,
     cubs_[owner.value()]->BootstrapRecord(record);
     CubId backup = config_.shape.NextCub(owner);
     cubs_[backup.value()]->BootstrapRecord(record);
-    if (oracle_) {
-      // Driver context: write the real oracle directly (a relay would just
-      // apply immediately anyway).
-      oracle_->OnInsert(slot, record.viewer, record.instance, sim().Now());
+    if (invariant_checker_) {
+      invariant_checker_->OnInsert(slot, record.instance, sim().Now());
     }
     ++made;
   }

@@ -20,7 +20,6 @@
 #include "src/core/controller.h"
 #include "src/core/cub.h"
 #include "src/core/invariant_checker.h"
-#include "src/core/oracle.h"
 #include "src/disk/disk.h"
 #include "src/net/fault_plan.h"
 #include "src/stats/fault_stats.h"
@@ -51,11 +50,9 @@ class TigerSystem {
   // Adds a file; start disks are assigned round-robin across the stripe.
   Result<FileId> AddFile(std::string name, int64_t bitrate_bps, Duration duration);
 
-  // Attaches the oracle invariant checker to every cub (call before Start).
-  void EnableOracle();
-
-  // Attaches the schedule invariant checker (periodic omniscient audit of
-  // every living cub's view). Call before Start().
+  // Attaches the schedule invariant checker: event hooks on every cub plus a
+  // periodic omniscient scan of every living cub's view. Call before Start()
+  // (and before BootstrapStreams, so bootstrapped slots are tracked).
   void EnableInvariantChecker();
 
   // Installs a seeded network fault plan (drops, delays, duplicates,
@@ -112,10 +109,10 @@ class TigerSystem {
   FlightRecorder* flight_recorder() { return flight_recorder_.get(); }
 
   // Attaches the online SLO burn-rate monitor over the QoS ledger. Breaches
-  // (budget burns, or any enabled oracle firing) dump an incident bundle —
-  // at most options.max_incidents per run. Call before Start(); evaluation
-  // runs barrier-aligned in sharded runs so results are sim_threads-
-  // invariant.
+  // (budget burns, or the invariant checker or auditor firing) dump an
+  // incident bundle — at most options.max_incidents per run. Call before
+  // Start(); evaluation runs barrier-aligned in sharded runs so results are
+  // sim_threads-invariant.
   void EnableSloMonitor(SloMonitor::Options options = {});
   SloMonitor* slo_monitor() { return slo_monitor_.get(); }
 
@@ -200,7 +197,6 @@ class TigerSystem {
   Cub& cub(CubId id) { return *cubs_[id.value()]; }
   int cub_count() const { return static_cast<int>(cubs_.size()); }
   SimulatedDisk& disk(DiskId id);
-  ScheduleOracle* oracle() { return oracle_.get(); }
   InvariantChecker* invariant_checker() { return invariant_checker_.get(); }
   NetFaultPlan* net_fault_plan() { return net_fault_plan_.get(); }
   FaultStats& fault_stats() { return fault_stats_; }
@@ -288,6 +284,7 @@ class TigerSystem {
   // Serial cadence drivers (self-rearming sim timers).
   void ScheduleCheckpointTick();
   void ScheduleSloTick();
+  void ScheduleInvariantCheck();
   // Assembles and writes one tiger-incident-v1 bundle; false when capped or
   // nothing is enabled.
   bool DumpIncident(const std::string& reason);
@@ -302,7 +299,6 @@ class TigerSystem {
   std::vector<int> cub_shards_;  // cub id -> owning shard (contiguous ring segments).
   std::unique_ptr<QosLedgerRelay> qos_relay_;
   std::unique_ptr<FaultStatsRelay> fault_relay_;
-  std::unique_ptr<OracleRelay> oracle_relay_;
   std::unique_ptr<AuditObserverRelay> audit_relay_;
   // Sharded tracing: one tracer + registry per shard (merged on export), and
   // one barrier-drained buffer per shard when a live sink is installed.
@@ -337,7 +333,6 @@ class TigerSystem {
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<StripeLayout> layout_;
   std::unique_ptr<ScheduleGeometry> geometry_;
-  std::unique_ptr<ScheduleOracle> oracle_;
   std::unique_ptr<InvariantChecker> invariant_checker_;
   std::unique_ptr<NetFaultPlan> net_fault_plan_;
   std::unique_ptr<Tracer> tracer_;

@@ -275,10 +275,9 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
 
   Testbed bed(config, descriptor.seed);
   TigerSystem& system = bed.system();
-  system.EnableOracle();
   system.EnableInvariantChecker();
   system.EnableNetFaultPlan();
-  // A small ring is plenty: the verdict comes from the oracles, the trace is
+  // A small ring is plenty: the verdict comes from the checkers, the trace is
   // a debugging aid for replayed counterexamples.
   system.EnableTracing(4096);
   if (descriptor.backup_controller) {
@@ -336,10 +335,8 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
   outcome.lost_blocks = stats.lost_blocks;
 
   const InvariantChecker* checker = system.invariant_checker();
-  outcome.invariant_violations = static_cast<int64_t>(checker->violations().size());
-  const ScheduleOracle* oracle = system.oracle();
-  outcome.oracle_conflicts =
-      oracle->conflict_count() + static_cast<int64_t>(oracle->violations().size());
+  outcome.invariant_violations = checker->scan_violations();
+  outcome.oracle_conflicts = checker->hook_violations();
   outcome.audit_divergences = auditor.total_divergences();
   outcome.truly_lost_records =
       auditor.CountFor(ScheduleAuditor::DivergenceClass::kTrulyLostRecord);
@@ -367,13 +364,7 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
     outcome.detail = "deadman fired: viewer made no progress for a full window";
   } else if (outcome.invariant_violations > 0 || outcome.oracle_conflicts > 0) {
     outcome.verdict = Verdict::kInvariantViolation;
-    if (!checker->violations().empty()) {
-      outcome.detail = checker->violations().front().what;
-    } else if (!oracle->violations().empty()) {
-      outcome.detail = oracle->violations().front();
-    } else {
-      outcome.detail = "schedule slot conflict";
-    }
+    outcome.detail = checker->violations().front().what;
   } else if (outcome.audit_divergences_fatal > 0) {
     outcome.verdict = Verdict::kDivergence;
     for (size_t c = 0; c < static_cast<size_t>(ScheduleAuditor::DivergenceClass::kClassCount);

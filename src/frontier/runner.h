@@ -1,11 +1,12 @@
 // Deterministic scenario execution and the verdict lattice.
 //
 // RunScenario builds one TigerSystem from a ScenarioDescriptor, attaches
-// every oracle the repo has — the InvariantChecker (§4 coherence), the
-// ScheduleOracle (slot conflicts), the ScheduleAuditor's shadow global
-// schedule (10 divergence classes), and the QoS ledger (client-observed
-// glitches with causes) — plus a run-level *deadman watchdog*, injects the
-// descriptor's faults, and classifies the outcome into the verdict lattice:
+// every checker the repo has — the InvariantChecker (§4 coherence: slot
+// double-booking, send timing, due coherence, lead bounds), the
+// ScheduleAuditor's shadow global schedule (10 divergence classes), and the
+// QoS ledger (client-observed glitches with causes) — plus a run-level
+// *deadman watchdog*, injects the descriptor's faults, and classifies the
+// outcome into the verdict lattice:
 //
 //   kCleanSurvive        nothing fired, nothing degraded, no glitches
 //   kDegraded            faults fired / mirror chains ran, but clients saw
@@ -15,7 +16,7 @@
 //   kDivergence          the auditor flagged a class other than truly-lost
 //                        (truly-lost records are the paper's bounded crash
 //                        losses, not incoherence)
-//   kInvariantViolation  the InvariantChecker or oracle flagged §4 breakage
+//   kInvariantViolation  the InvariantChecker flagged §4 breakage
 //   kLivelock            the deadman watchdog fired: some viewer made no
 //                        observable progress for a whole window while active
 //                        — stalled, not slow (distinguishable in Perfetto by
@@ -64,7 +65,9 @@ struct ScenarioOutcome {
   int64_t late_blocks = 0;
   int64_t lost_blocks = 0;
 
-  // Oracles.
+  // Checkers. The InvariantChecker's findings split by how they were found:
+  // its periodic view scan, and its event hooks (live double-booking,
+  // off-boundary sends) — each violation counted once.
   int64_t invariant_violations = 0;
   int64_t oracle_conflicts = 0;
   int64_t audit_divergences = 0;        // All classes.

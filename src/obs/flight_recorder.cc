@@ -195,7 +195,9 @@ void TraceFanout::OnTraceEvent(const TraceEvent& event) {
   if (primary_ != nullptr) {
     primary_->OnTraceEvent(event);
   }
-  TIGER_FLIGHT_RECORD(recorder_, event);
+  if (recorder_ != nullptr) {
+    recorder_->OnTraceEvent(event);
+  }
 }
 
 }  // namespace tiger

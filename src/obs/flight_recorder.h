@@ -24,11 +24,6 @@
 // Everything the recorder exports is derived from the logical schedule:
 // same seed + same shard count ⇒ byte-identical window dumps and checkpoint
 // text for any sim_threads (locked by tests/obs_incident_test.cc).
-//
-// Compile-time strip: like TIGER_PROFILING_ENABLED / TIGER_TRACING_ENABLED,
-// building with -DTIGER_FLIGHT_RECORDER_ENABLED=0 turns the
-// TIGER_FLIGHT_RECORD call sites into no-ops while the classes stay
-// ODR-identical, so mixed translation units still link.
 
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
@@ -39,11 +34,6 @@
 
 #include "src/common/time.h"
 #include "src/trace/trace.h"
-
-// Compile-time switch: 0 strips every TIGER_FLIGHT_RECORD call site.
-#ifndef TIGER_FLIGHT_RECORDER_ENABLED
-#define TIGER_FLIGHT_RECORDER_ENABLED 1
-#endif
 
 namespace tiger {
 
@@ -155,8 +145,7 @@ class FlightRecorder final : public TraceSink {
 // Fan-out sink: TigerSystem interposes this when both a live sink (the
 // auditor) and the flight recorder are attached, so the single Tracer sink
 // slot feeds both. The primary sees the event first (evidence order is
-// unchanged for the auditor); the recorder's copy strips away under
-// TIGER_FLIGHT_RECORDER_ENABLED=0.
+// unchanged for the auditor).
 class TraceFanout final : public TraceSink {
  public:
   void Set(TraceSink* primary, FlightRecorder* recorder) {
@@ -171,18 +160,5 @@ class TraceFanout final : public TraceSink {
 };
 
 }  // namespace tiger
-
-// Call-site macro: one null check when compiled in, nothing when stripped.
-#if TIGER_FLIGHT_RECORDER_ENABLED
-#define TIGER_FLIGHT_RECORD(recorder, event)            \
-  do {                                                  \
-    ::tiger::FlightRecorder* tiger_fr_ = (recorder);    \
-    if (tiger_fr_ != nullptr) {                         \
-      tiger_fr_->OnTraceEvent(event);                   \
-    }                                                   \
-  } while (0)
-#else
-#define TIGER_FLIGHT_RECORD(recorder, event) ((void)0)
-#endif
 
 #endif  // SRC_OBS_FLIGHT_RECORDER_H_

@@ -99,7 +99,7 @@ void SloMonitor::Evaluate(TimePoint now) {
     }
   });
 
-  // One breach per tick, most severe first: an oracle firing outranks a
+  // One breach per tick, most severe first: a checker firing outranks a
   // budget burn (it is the incident, not a symptom of one).
   for (Probe& probe : probes_) {
     const int64_t value = probe.counter();

@@ -27,12 +27,9 @@
 //     rendering scales sampled self time by count/samples to estimate the
 //     total. Within an armed event every scope is timed, so the
 //     exclusive-time subtraction stays hierarchy-consistent.
-//  4. Free when stripped. Call sites hold no pointer: the TIGER_PROF_SCOPE
+//  4. Nearly free when off. Call sites hold no pointer: the TIGER_PROF_SCOPE
 //     macro reads one thread-local; when no profiler is installed the scope
-//     constructor is a load + compare. Defining TIGER_PROFILING_ENABLED=0
-//     compiles the macro sites away entirely (mirroring
-//     TIGER_TRACING_ENABLED; class definitions stay identical across TUs so
-//     mixed builds cannot violate the ODR).
+//     constructor is a load + compare.
 //  5. Flat storage. A Profiler is a fixed array of {count, samples,
 //     self_ticks} buckets, and the sharded engine keeps one Profiler per
 //     shard plus per-shard padded stats, so worker threads never share a
@@ -59,11 +56,6 @@
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
-#endif
-
-// Compile-time switch: 0 strips every TIGER_PROF_* call site.
-#ifndef TIGER_PROFILING_ENABLED
-#define TIGER_PROFILING_ENABLED 1
 #endif
 
 namespace tiger {
@@ -361,16 +353,11 @@ std::string ProfilerChromeCounterEvents(const std::vector<ProfileSnapshot>& snap
 }  // namespace tiger
 
 // Call-site macro: a scoped exclusive-time sample against the thread's
-// current profiler. `cat` is a bare ProfCategory enumerator name. Compiles
-// away entirely under TIGER_PROFILING_ENABLED=0.
-#if TIGER_PROFILING_ENABLED
+// current profiler. `cat` is a bare ProfCategory enumerator name.
 #define TIGER_PROF_CONCAT_(a, b) a##b
 #define TIGER_PROF_CONCAT(a, b) TIGER_PROF_CONCAT_(a, b)
 #define TIGER_PROF_SCOPE(cat)                                     \
   ::tiger::ProfScope TIGER_PROF_CONCAT(tiger_prof_scope_, __LINE__)( \
       ::tiger::ProfCategory::cat)
-#else
-#define TIGER_PROF_SCOPE(cat) ((void)0)
-#endif
 
 #endif  // SRC_TRACE_PROFILER_H_

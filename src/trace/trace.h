@@ -19,9 +19,7 @@
 //
 // Cost model: instrumented call sites hold a `Tracer*` that is null unless
 // TigerSystem::EnableTracing() ran, and the TIGER_TRACE_* macros compile to a
-// single null check in that case. Defining TIGER_TRACING_ENABLED=0 strips the
-// call sites entirely. bench/scalability prints the measured overhead of both
-// configurations.
+// single null check in that case.
 
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
@@ -32,11 +30,6 @@
 
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
-
-// Compile-time switch: 0 strips every TIGER_TRACE_* call site.
-#ifndef TIGER_TRACING_ENABLED
-#define TIGER_TRACING_ENABLED 1
-#endif
 
 namespace tiger {
 
@@ -213,9 +206,7 @@ class Tracer {
 
 }  // namespace tiger
 
-// Call-site macros: one pointer null check when tracing is compiled in, and
-// nothing at all when TIGER_TRACING_ENABLED=0. `tracer` is evaluated once.
-#if TIGER_TRACING_ENABLED
+// Call-site macros: one pointer null check. `tracer` is evaluated once.
 #define TIGER_TRACE_INSTANT(tracer, track, type, ...)                \
   do {                                                               \
     ::tiger::Tracer* tiger_tr_ = (tracer);                           \
@@ -244,11 +235,5 @@ class Tracer {
       tiger_tr_->EndFlow((track), (type), (flow), ##__VA_ARGS__);    \
     }                                                                \
   } while (0)
-#else
-#define TIGER_TRACE_INSTANT(tracer, track, type, ...) ((void)0)
-#define TIGER_TRACE_COMPLETE(tracer, track, type, start, dur, ...) ((void)0)
-#define TIGER_TRACE_BEGIN_FLOW(out_flow, tracer, track, type, ...) ((void)0)
-#define TIGER_TRACE_END_FLOW(tracer, track, type, flow, ...) ((void)0)
-#endif
 
 #endif  // SRC_TRACE_TRACE_H_

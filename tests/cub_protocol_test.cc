@@ -18,7 +18,7 @@ TigerConfig SmallConfig() {
 // Builds a testbed with one running stream and returns the testbed.
 std::unique_ptr<Testbed> RunningStream(uint64_t seed) {
   auto testbed = std::make_unique<Testbed>(SmallConfig(), seed);
-  testbed->system().EnableOracle();
+  testbed->system().EnableInvariantChecker();
   testbed->AddContent(2, Duration::Seconds(60));
   testbed->Start();
   testbed->AddViewer(FileId(0));
@@ -56,7 +56,7 @@ TEST(CubProtocolTest, ReplayedBatchIsAbsorbedIdempotently) {
 
   testbed->RunFor(Duration::Seconds(60));
   EXPECT_EQ(testbed->TotalClientStats().lost_blocks, 0);
-  EXPECT_EQ(system.oracle()->conflict_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->violations().size(), 0u);
 }
 
 TEST(CubProtocolTest, DuplicateDescheduleForwardedOnlyOnce) {
@@ -97,7 +97,7 @@ TEST(CubProtocolTest, DuplicateDescheduleForwardedOnlyOnce) {
   testbed->RunFor(Duration::Seconds(5));
   EXPECT_EQ(testbed->TotalClientStats().blocks_complete, blocks);
   EXPECT_EQ(totals.records_conflict, 0);
-  EXPECT_EQ(system.oracle()->conflict_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->violations().size(), 0u);
 }
 
 TEST(CubProtocolTest, ViewsStayBounded) {
@@ -146,7 +146,7 @@ TEST(CubProtocolTest, StartRequestDedupAcrossPrimaryAndRedundant) {
   // confirm only one insertion happens.
   TigerConfig config = SmallConfig();
   Testbed testbed(config, 59);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(30));
   testbed.Start();
   TigerSystem& system = testbed.system();
@@ -170,7 +170,7 @@ TEST(CubProtocolTest, StartRequestDedupAcrossPrimaryAndRedundant) {
 
   Cub::Counters totals = system.TotalCubCounters();
   EXPECT_EQ(totals.inserts, 1);
-  EXPECT_EQ(system.oracle()->conflict_count(), 0);
+  EXPECT_EQ(system.invariant_checker()->violations().size(), 0u);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ TEST(FailureTest, SingleDiskFailureCoveredByMirrors) {
   // §2.3: tolerate the failure of any single disk with no ongoing
   // degradation. The cub stays alive; only its disk dies.
   Testbed testbed(SmallConfig(), 31);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(2, Duration::Seconds(40));
   testbed.Start();
   testbed.AddViewer(FileId(0));
@@ -35,13 +35,13 @@ TEST(FailureTest, SingleDiskFailureCoveredByMirrors) {
   // Disk failure is detected by its own cub instantly (I/O errors), so the
   // loss window is tiny: at most the blocks already due.
   EXPECT_LE(totals.lost_blocks, 2);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->violations().size(), 0u);
 }
 
 TEST(FailureTest, TwoNonAdjacentCubFailures) {
   // Decluster 2: failures more than two cubs apart must both be covered.
   Testbed testbed(SmallConfig(/*cubs=*/8), 33);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(4, Duration::Seconds(70));
   testbed.Start();
   for (int i = 0; i < 4; ++i) {
@@ -58,7 +58,7 @@ TEST(FailureTest, TwoNonAdjacentCubFailures) {
   // Two detection windows, each costing each stream a couple of blocks.
   EXPECT_LE(totals.lost_blocks, 4 * 8);
   EXPECT_GT(totals.fragments_received, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->violations().size(), 0u);
   EXPECT_EQ(testbed.system().TotalCubCounters().records_conflict, 0);
 }
 
@@ -68,7 +68,7 @@ TEST(FailureTest, ConsecutiveCubFailuresBridgeTheRing) {
   // bridging the gap" — streams continue, necessarily missing the blocks
   // whose data died with both copies.
   Testbed testbed(SmallConfig(/*cubs=*/8), 35);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(2, Duration::Seconds(80));
   testbed.Start();
   testbed.AddViewer(FileId(0));
@@ -87,7 +87,7 @@ TEST(FailureTest, ConsecutiveCubFailuresBridgeTheRing) {
   // 4,5 lose one fragment (cub 4 dead) every lap: persistent partial loss,
   // plus both detection windows.
   EXPECT_GT(totals.lost_blocks, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->violations().size(), 0u);
 
   // The ring kept flowing: living cubs kept forwarding (bridged over the
   // two dead cubs) and blocks kept being sent after the failures.
@@ -100,7 +100,7 @@ TEST(FailureTest, RedundantStartActivatesWhenPrimaryCubDies) {
   // successor; "when a cub is holding a redundant copy and the cub's
   // predecessor has failed, the cub enters the request into a queue".
   Testbed testbed(SmallConfig(), 37);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(6, Duration::Seconds(60));
   testbed.Start();
   testbed.RunFor(Duration::Seconds(1));
@@ -119,7 +119,7 @@ TEST(FailureTest, RedundantStartActivatesWhenPrimaryCubDies) {
   ASSERT_EQ(viewer.startup_latency().count(), 1u);
   EXPECT_GT(viewer.startup_latency().Mean(), 5.0);
   EXPECT_LT(viewer.startup_latency().Mean(), 15.0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->violations().size(), 0u);
 }
 
 TEST(FailureTest, DetectionLatencyMatchesDeadmanTimeout) {

@@ -1,5 +1,5 @@
 // Randomized protocol fuzzing: arbitrary interleavings of start, stop and
-// failure injection, checked against the oracle's global invariants.
+// failure injection, checked against the invariant checker's global view.
 //
 // The hallucinated global schedule must stay coherent no matter how the
 // operations interleave: no slot ever double-booked, every block sent on a
@@ -20,7 +20,7 @@ TEST_P(FuzzTest, RandomChurnPreservesScheduleCoherence) {
   TigerConfig config;
   config.shape = SystemShape{6, 1, 2};
   Testbed testbed(config, seed);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(10, Duration::Seconds(25));
   testbed.Start();
 
@@ -56,17 +56,19 @@ TEST_P(FuzzTest, RandomChurnPreservesScheduleCoherence) {
   // Drain: let every play finish or get cleaned up.
   testbed.RunFor(Duration::Seconds(40));
 
-  ScheduleOracle* oracle = testbed.system().oracle();
-  EXPECT_EQ(oracle->conflict_count(), 0) << "slot double-booked under churn";
-  EXPECT_EQ(oracle->mistimed_send_count(), 0) << "block sent off the slot boundary";
-  for (const std::string& violation : oracle->violations()) {
-    ADD_FAILURE() << violation;
+  const InvariantChecker* checker = testbed.system().invariant_checker();
+  EXPECT_EQ(checker->Count(InvariantChecker::Kind::kLiveDoubleBook), 0)
+      << "slot double-booked under churn";
+  EXPECT_EQ(checker->Count(InvariantChecker::Kind::kOffBoundarySend), 0)
+      << "block sent off the slot boundary";
+  for (const InvariantChecker::Violation& violation : checker->violations()) {
+    ADD_FAILURE() << violation.what;
   }
 
   Cub::Counters counters = testbed.system().TotalCubCounters();
   EXPECT_EQ(counters.records_conflict, 0);
   EXPECT_GT(counters.inserts, 0);
-  EXPECT_GT(oracle->insert_count(), 0);
+  EXPECT_GT(checker->insert_count(), 0);
 
   ViewerClient::Stats totals = testbed.TotalClientStats();
   EXPECT_GT(totals.blocks_complete, 0);

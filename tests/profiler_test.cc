@@ -106,6 +106,23 @@ TEST(ProfScopeTest, ScopedInstallRestoresPrevious) {
   EXPECT_EQ(Profiler::Current(), &outer);
 }
 
+TEST(ProfScopeTest, ProfilersAreUsableDirectly) {
+  // TigerSystem folds engine intervals into buckets with Add, bypassing
+  // scopes; the sharded bundle aggregates per-shard buckets.
+  Profiler prof;
+  prof.Add(ProfCategory::kMsgHop, 3, 42);
+  EXPECT_EQ(prof.bucket(ProfCategory::kMsgHop).count, 3u);
+  EXPECT_EQ(prof.bucket(ProfCategory::kMsgHop).self_ticks, 42u);
+  prof.Reset();
+  EXPECT_EQ(prof.bucket(ProfCategory::kMsgHop).count, 0u);
+
+  ShardEngineProfiler engine(4);
+  EXPECT_EQ(engine.shards(), 4);
+  engine.shard_profiler(2).Add(ProfCategory::kSlotService, 1, 7);
+  EXPECT_EQ(engine.Aggregated(ProfCategory::kSlotService).count, 1u);
+  EXPECT_EQ(engine.Aggregated(ProfCategory::kSlotService).self_ticks, 7u);
+}
+
 // --- AutoShardCount ----------------------------------------------------------
 
 TEST(AutoShardCountTest, PolicyMatchesDocumentedFormula) {

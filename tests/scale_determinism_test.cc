@@ -118,6 +118,12 @@ struct ShardedDump {
   std::string audit_report;
   std::string fault_log;
   std::string qos_summary;
+  // The invariant checker's findings plus its activity counts, rendered as
+  // text so the whole journaled/barrier-aligned path is byte-compared.
+  std::string violation_summary;
+  int64_t violations = 0;
+  int64_t checks_run = 0;
+  int64_t checker_inserts = 0;
   Cub::Counters counters;
 };
 
@@ -130,6 +136,7 @@ ShardedDump RunShardedOnce(uint64_t seed, int shards, int threads,
   config.sim_threads = threads;
   TigerSystem system(config, seed);
   system.EnableTimeSeries(Duration::Seconds(1));
+  system.EnableInvariantChecker();
   if (profiled) {
     system.EnableProfiling();
   }
@@ -155,6 +162,17 @@ ShardedDump RunShardedOnce(uint64_t seed, int shards, int threads,
   dump.audit_report = auditor.ReportJson();
   dump.fault_log = system.fault_stats().EventLog();
   dump.qos_summary = system.qos_ledger().SummaryText();
+  const InvariantChecker& checker = *system.invariant_checker();
+  dump.violations = static_cast<int64_t>(checker.violations().size());
+  dump.checks_run = checker.checks_run();
+  dump.checker_inserts = checker.insert_count();
+  dump.violation_summary = "checks " + std::to_string(dump.checks_run) + " inserts " +
+                           std::to_string(dump.checker_inserts) + "\n";
+  for (const InvariantChecker::Violation& violation : checker.violations()) {
+    dump.violation_summary += std::to_string(violation.when.micros()) + " " +
+                              std::to_string(static_cast<int>(violation.kind)) + " " +
+                              violation.what + "\n";
+  }
   dump.counters = system.TotalCubCounters();
   return dump;
 }
@@ -176,6 +194,13 @@ TEST(ScaleDeterminismTest, ShardedOutputIsThreadCountInvariantAt100Cubs) {
   EXPECT_EQ(one.audit_report, four.audit_report);
   EXPECT_EQ(one.fault_log, four.fault_log);
   EXPECT_EQ(one.qos_summary, four.qos_summary);
+  // The sharded checker path: hooks journaled from shard threads, the scan
+  // run at barriers — clean and thread-count-invariant.
+  EXPECT_EQ(one.violations, 0) << one.violation_summary;
+  EXPECT_EQ(four.violations, 0) << four.violation_summary;
+  EXPECT_GT(one.checks_run, 0);
+  EXPECT_GT(one.checker_inserts, 0);
+  EXPECT_EQ(one.violation_summary, four.violation_summary);
   EXPECT_EQ(one.counters.records_received, four.counters.records_received);
   EXPECT_EQ(one.counters.records_new, four.counters.records_new);
   EXPECT_EQ(one.counters.blocks_sent, four.counters.blocks_sent);

@@ -58,7 +58,7 @@ TEST(SystemMetricsTest, FailedCubsExcludedFromAggregates) {
 
 TEST(SystemMetricsTest, ScheduledFaultInjectionFires) {
   Testbed testbed(SmallConfig(), 125);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(2, Duration::Seconds(60));
   testbed.Start();
   testbed.AddViewer(FileId(0));

@@ -16,7 +16,7 @@ TigerConfig SmallConfig() {
 
 TEST(VcrTest, PauseAndResumeContinuesFromTheNextBlock) {
   Testbed testbed(SmallConfig(), 101);
-  testbed.system().EnableOracle();
+  testbed.system().EnableInvariantChecker();
   testbed.AddContent(1, Duration::Seconds(40));
   testbed.Start();
   ViewerClient& viewer = testbed.AddViewer(FileId(0));
@@ -40,7 +40,7 @@ TEST(VcrTest, PauseAndResumeContinuesFromTheNextBlock) {
   EXPECT_LE(viewer.stats().blocks_complete, 43);
   EXPECT_EQ(viewer.stats().plays_requested, 2);
   EXPECT_EQ(viewer.stats().lost_blocks, 0);
-  EXPECT_EQ(testbed.system().oracle()->conflict_count(), 0);
+  EXPECT_EQ(testbed.system().invariant_checker()->violations().size(), 0u);
 }
 
 TEST(VcrTest, PauseAtTheEndDegradesToStop) {
