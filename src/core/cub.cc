@@ -259,8 +259,8 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
       qos_->AnnotateServerCause(Now(), record.viewer, record.position,
                                 GlitchCause::kHopTtlExceeded, id_.value());
     }
-    if (auditor_ != nullptr) {
-      auditor_->OnRecordTtlDropped(Now(), id_.value(), record);
+    if (checker_ != nullptr) {
+      checker_->OnRecordTtlDropped(Now(), id_.value(), record);
     }
     return;
   }
@@ -277,8 +277,8 @@ void Cub::OnViewerState(const ViewerStateRecord& record) {
                                   .b = record.lineage.hop_count});
   }
   const ScheduleView::ApplyResult apply_result = view_.ApplyViewerState(record, Now());
-  if (auditor_ != nullptr) {
-    auditor_->OnRecordReceived(Now(), id_.value(), record, apply_result);
+  if (checker_ != nullptr) {
+    checker_->OnRecordReceived(Now(), id_.value(), record, apply_result);
   }
   switch (apply_result) {
     case ScheduleView::ApplyResult::kNew: {
@@ -503,7 +503,7 @@ void Cub::SendBlock(const ViewerStateRecord::Key& key) {
   } else {
     counters_.blocks_sent++;
     if (checker_ != nullptr) {
-      checker_->OnPrimarySend(record.slot, ServingDisk(record), record.due);
+      checker_->OnPrimarySend(id_.value(), record, ServingDisk(record));
     }
   }
   TIGER_TRACE_INSTANT(tracer_, trace_track_, TraceEventType::kBlockSent,
@@ -556,7 +556,7 @@ std::optional<ViewerStateRecord> Cub::SuccessorRecord(const ViewerStateRecord& r
   next.sequence++;
   if (next.lineage.tagged() && next.lineage.hop_count < UINT16_MAX) {
     // Hop advances in lockstep with sequence; the TTL guard and the
-    // auditor's chain walk both rely on that pairing.
+    // checker's chain walk both rely on that pairing.
     next.lineage.hop_count++;
   }
   if (record.is_mirror()) {
@@ -620,9 +620,9 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
         if (fragment.lineage.tagged() && fragment.lineage.hop_count < UINT16_MAX) {
           fragment.lineage.hop_count++;  // The chain branches: one synthesis hop.
         }
-        if (auditor_ != nullptr) {
-          auditor_->OnRecordCreated(Now(), id_.value(),
-                                    AuditObserver::CreateKind::kTakeover, fragment,
+        if (checker_ != nullptr) {
+          checker_->OnRecordCreated(Now(), id_.value(),
+                                    InvariantChecker::CreateKind::kTakeover, fragment,
                                     RecordLineage{});
         }
         if (IsMyDisk(loc.disk)) {
@@ -651,10 +651,10 @@ void Cub::TakeoverRecord(const ViewerStateRecord::Key& key) {
     return;
   }
   DiskId next_disk = ServingDisk(*next);
-  if (auditor_ != nullptr) {
+  if (checker_ != nullptr) {
     // The successor record is synthesized here on the dead cub's behalf,
     // whether it is applied locally or handed to the owning cub below.
-    auditor_->OnRecordCreated(Now(), id_.value(), AuditObserver::CreateKind::kTakeover,
+    checker_->OnRecordCreated(Now(), id_.value(), InvariantChecker::CreateKind::kTakeover,
                               *next, RecordLineage{});
   }
   if (IsMyDisk(next_disk) && !failure_view_.IsDiskFailed(next_disk)) {
@@ -722,9 +722,9 @@ void Cub::RecoverBlockViaMirrors(const ViewerStateRecord::Key& key) {
       if (fragment.lineage.tagged() && fragment.lineage.hop_count < UINT16_MAX) {
         fragment.lineage.hop_count++;
       }
-      if (auditor_ != nullptr) {
-        auditor_->OnRecordCreated(Now(), id_.value(),
-                                  AuditObserver::CreateKind::kMirrorRecovery, fragment,
+      if (checker_ != nullptr) {
+        checker_->OnRecordCreated(Now(), id_.value(),
+                                  InvariantChecker::CreateKind::kMirrorRecovery, fragment,
                                   RecordLineage{});
       }
       SendRecordTo(config_->shape.CubOfDisk(loc.disk), fragment);
@@ -846,25 +846,30 @@ void Cub::MaybeForwardEntry(ScheduleEntry& entry, BatchMap& batches) {
   TIGER_PROF_SCOPE(kVStateEncode);
   entry.forwarded = true;
   StampLineageForSend(&*next);
-  // Self-check corruption (InjectAuditCorruption): the forward evidence below
-  // describes the honest record, but the wire carries `out` — due shifted by
-  // 1ms. Same DedupKey, so the protocol at worst re-times one block; the
-  // auditor's shadow arithmetic must catch the disagreement.
-  ViewerStateRecord out = *next;
-  if (corrupt_next_forward_) {
-    corrupt_next_forward_ = false;
-    out.due = out.due + Duration::Millis(1);
-  }
   int targets = 0;
   FailureView::NeighborList successors;
   failure_view_.NextLivingSuccessors(id_, config_->forward_copies, &successors);
   for (CubId target : successors) {
-    if (auditor_ != nullptr) {
-      auditor_->OnRecordForwarded(Now(), id_.value(), target.value(), *next);
+    if (checker_ != nullptr) {
+      checker_->OnRecordForwarded(Now(), id_.value(), target.value(), *next);
     }
     const NetAddress addr = addresses_->CubAddress(target);
     ViewerStateBatchMsg& batch = batches[addr];
-    batch.Add(out);
+    if (corrupt_next_forward_ && target != config_->shape.CubOfDisk(ServingDisk(*next))) {
+      // Self-check corruption (InjectAuditCorruption): the forward evidence
+      // above describes the honest record, but this backup copy — bound for
+      // a successor that does not serve the block — carries its due shifted
+      // by 1ms. Same DedupKey, and the serving cub's copy stays honest, so
+      // the protocol's timing is untouched: only the checker's shadow
+      // arithmetic and its cross-view due comparison can see the
+      // disagreement.
+      corrupt_next_forward_ = false;
+      ViewerStateRecord out = *next;
+      out.due = out.due + Duration::Millis(1);
+      batch.Add(out);
+    } else {
+      batch.Add(*next);
+    }
     if (batch.wire_records.size() >= ViewerStateBatchMsg::kMaxBatchRecords) {
       SendBatchTo(addr, std::move(batch));
       batch = ViewerStateBatchMsg();
@@ -917,8 +922,8 @@ void Cub::SendRecordTo(CubId target, const ViewerStateRecord& record) {
   auto msg = MakePooledMessage<ViewerStateBatchMsg>();
   ViewerStateRecord stamped = record;
   StampLineageForSend(&stamped);
-  if (auditor_ != nullptr) {
-    auditor_->OnRecordForwarded(Now(), id_.value(), target.value(), stamped);
+  if (checker_ != nullptr) {
+    checker_->OnRecordForwarded(Now(), id_.value(), target.value(), stamped);
   }
   msg->Add(stamped);
   TIGER_TRACE_BEGIN_FLOW(msg->trace_flow, tracer_, trace_track_, TraceEventType::kVStateHop,
@@ -966,9 +971,8 @@ void Cub::OnDeschedule(const DescheduleMsg& msg) {
 
   const TimePoint hold_until = Now() + config_->max_vstate_lead + config_->deschedule_hold;
   ScheduleView::DescheduleOutcome outcome = view_.ApplyDeschedule(record, Now(), hold_until);
-  if (auditor_ != nullptr) {
-    auditor_->OnKill(Now(), id_.value(), record, msg.lineage,
-                     static_cast<int>(outcome.removed.size()), outcome.new_hold);
+  if (checker_ != nullptr) {
+    checker_->OnKill(Now(), id_.value(), record, msg.lineage, outcome.new_hold);
   }
   if (!outcome.removed.empty()) {
     counters_.deschedules_applied++;
@@ -1111,8 +1115,8 @@ void Cub::InsertViewer(DiskId disk, SlotId slot, TimePoint due, const StartPlayM
   record.bitrate_bps = msg.bitrate_bps > 0 ? msg.bitrate_bps : file.bitrate_bps;
   record.due = due;
   MintLineage(&record);
-  if (auditor_ != nullptr) {
-    auditor_->OnRecordCreated(Now(), id_.value(), AuditObserver::CreateKind::kInsert,
+  if (checker_ != nullptr) {
+    checker_->OnRecordCreated(Now(), id_.value(), InvariantChecker::CreateKind::kInsert,
                               record, msg.lineage);
   }
 
@@ -1149,10 +1153,10 @@ void Cub::BootstrapRecord(const ViewerStateRecord& record) {
   ScheduleView::ApplyResult result = view_.ApplyViewerState(record, Now());
   TIGER_CHECK(result == ScheduleView::ApplyResult::kNew ||
               result == ScheduleView::ApplyResult::kDuplicate);
-  if (auditor_ != nullptr) {
+  if (checker_ != nullptr) {
     // Bootstrap seeds the same record on the slot owner and its backup; the
-    // auditor treats the second creation as expected redundancy.
-    auditor_->OnRecordCreated(Now(), id_.value(), AuditObserver::CreateKind::kBootstrap,
+    // checker treats the second creation as expected redundancy.
+    checker_->OnRecordCreated(Now(), id_.value(), InvariantChecker::CreateKind::kBootstrap,
                               record, RecordLineage{});
   }
   if (result == ScheduleView::ApplyResult::kNew) {

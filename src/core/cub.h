@@ -27,7 +27,6 @@
 #include "src/common/ids.h"
 #include "src/common/rng.h"
 #include "src/core/address_book.h"
-#include "src/core/audit_hooks.h"
 #include "src/core/block_cache.h"
 #include "src/core/config.h"
 #include "src/core/failure_view.h"
@@ -79,7 +78,9 @@ class Cub : public Actor, public NetworkEndpoint {
   // Wiring (called by TigerSystem before Start()).
   void AttachDisks(std::vector<SimulatedDisk*> disks);
   void SetAddressBook(const AddressBook* addresses) { addresses_ = addresses; }
-  // Schedule-invariant hooks (test-side observer); null = unchecked.
+  // Schedule checker hooks: slot occupancy, send timing and the lineage
+  // evidence of every record (test-side observer); null = unchecked.
+  // Survives Rejoin().
   void SetInvariantChecker(InvariantChecker* checker) { checker_ = checker; }
   void SetFaultStats(FaultStats* stats) { fault_stats_ = stats; }
   // QoS cause attribution: the cub annotates blocks it knows it degraded
@@ -90,13 +91,10 @@ class Cub : public Actor, public NetworkEndpoint {
   // Wires the observability layer: protocol steps land on `track`, the
   // viewer-state lead distribution feeds `metrics`. Survives Rejoin().
   void SetTrace(Tracer* tracer, TraceTrackId track, MetricsRegistry* metrics);
-  // Passive audit evidence sink (see audit_hooks.h); null = no auditor.
-  // Survives Rejoin().
-  void SetAuditObserver(AuditObserver* auditor) { auditor_ = auditor; }
-
-  // Self-check: corrupt the next forwarded record's due time by 1ms (after
-  // the forward evidence is emitted, so the auditor's shadow disagrees with
-  // what actually arrived). One-shot; proves end-to-end divergence detection.
+  // Self-check: corrupt the due time of the next forwarded backup copy (one
+  // bound for a successor that does not serve the block) by 1ms, after the
+  // forward evidence is emitted, so the checker's shadow disagrees with what
+  // actually arrived. One-shot; proves end-to-end detection.
   void InjectAuditCorruption() { corrupt_next_forward_ = true; }
 
   // Begins heartbeats and periodic ticks.
@@ -245,7 +243,6 @@ class Cub : public Actor, public NetworkEndpoint {
   InvariantChecker* checker_ = nullptr;
   FaultStats* fault_stats_ = nullptr;
   QosLedger* qos_ = nullptr;
-  AuditObserver* auditor_ = nullptr;
   Tracer* tracer_ = nullptr;
   TraceTrackId trace_track_ = 0;
   BoundedHistogram* vstate_lead_ms_ = nullptr;

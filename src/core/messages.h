@@ -133,7 +133,7 @@ struct StartPlayMsg : TigerMessage {
   // True for the redundant copy held against primary-cub failure.
   bool redundant = false;
   // Message-level lineage minted by the controller (insertion requests are
-  // the third message class the auditor walks, §4.1.3).
+  // the third message class the checker walks, §4.1.3).
   RecordLineage lineage;
   static constexpr int64_t WireBytes() {
     return kMessageHeaderBytes + 48 + kLineageWireBytes;

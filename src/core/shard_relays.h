@@ -2,7 +2,7 @@
 //
 // In sharded runs, cubs, disks and clients execute on per-shard event loops,
 // but the observability objects they report into — the QoS ledger, fault
-// stats, the audit observer, the trace sink — are process-global. Mutating
+// stats, the flight recorder's trace feed — are process-global. Mutating
 // them from shard context would race and, worse, would interleave
 // nondeterministically across thread counts. Each relay below interposes on
 // the write interface and defers the mutation to the engine's barrier
@@ -11,10 +11,11 @@
 // In driver context (construction, bootstrap, barrier tasks) the journal
 // applies immediately, so the relays are safe to call from anywhere.
 //
-// Relayed closures capture their record payloads by value; captures past
-// InlineFunction's inline buffer heap-box. That cost exists only on audited/
+// Relayed closures capture their payloads by value; captures past
+// InlineFunction's inline buffer heap-box. That cost exists only on
 // instrumented runs — the zero-alloc event-loop budget covers the protocol
-// hot path, which never goes through a relay.
+// hot path, which never goes through a relay. (The schedule checker journals
+// its own hooks the same way; see InvariantChecker::Defer.)
 //
 // The read side of each object is NOT relayed: reads go to the real instance
 // (TigerSystem hands tests the real objects; only actors hold relays), and
@@ -24,11 +25,9 @@
 #ifndef SRC_CORE_SHARD_RELAYS_H_
 #define SRC_CORE_SHARD_RELAYS_H_
 
-#include <string>
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/core/audit_hooks.h"
 #include "src/sim/shard_engine.h"
 #include "src/stats/fault_stats.h"
 #include "src/stats/qos.h"
@@ -120,67 +119,10 @@ class FaultStatsRelay : public FaultStats {
   FaultStats* real_;
 };
 
-class AuditObserverRelay : public AuditObserver {
- public:
-  AuditObserverRelay(ShardEngine* engine, AuditObserver* real)
-      : engine_(engine), real_(real) {}
-
-  void OnRecordCreated(TimePoint when, uint32_t cub, CreateKind kind,
-                       const ViewerStateRecord& record,
-                       const RecordLineage& request) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    AuditObserver* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_),
-                           [real, when, cub, kind, record, request] {
-                             real->OnRecordCreated(when, cub, kind, record, request);
-                           });
-  }
-  void OnRecordForwarded(TimePoint when, uint32_t from, uint32_t to,
-                         const ViewerStateRecord& record) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    AuditObserver* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_), [real, when, from, to, record] {
-      real->OnRecordForwarded(when, from, to, record);
-    });
-  }
-  void OnRecordReceived(TimePoint when, uint32_t at, const ViewerStateRecord& record,
-                        ScheduleView::ApplyResult result) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    AuditObserver* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_), [real, when, at, record, result] {
-      real->OnRecordReceived(when, at, record, result);
-    });
-  }
-  void OnRecordTtlDropped(TimePoint when, uint32_t at,
-                          const ViewerStateRecord& record) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    AuditObserver* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_), [real, when, at, record] {
-      real->OnRecordTtlDropped(when, at, record);
-    });
-  }
-  void OnKill(TimePoint when, uint32_t at, const DescheduleRecord& kill,
-              const RecordLineage& lineage, int removed, bool new_hold) override {
-    TIGER_PROF_SCOPE(kQosAudit);
-    AuditObserver* real = real_;
-    engine_->JournalAppend(ShardRelayNow(engine_),
-                           [real, when, at, kill, lineage, removed, new_hold] {
-                             real->OnKill(when, at, kill, lineage, removed, new_hold);
-                           });
-  }
-  std::string ChromeFlowEvents() const override { return real_->ChromeFlowEvents(); }
-
- private:
-  ShardEngine* engine_;
-  AuditObserver* real_;
-};
-
 // Per-shard trace sink: buffers every event the shard's tracer records during
 // a window. TigerSystem drains all shards' buffers at each barrier — merged
-// by (when, shard, buffer order) — into the real sink (the auditor), so the
-// sink sees one deterministic, thread-count-invariant stream. Journals apply
-// before barrier hooks, so audit-hook evidence always lands before the trace
-// events of the same window, regardless of thread count.
+// by (when, shard, buffer order) — into the flight recorder, so it sees one
+// deterministic, thread-count-invariant stream.
 class ShardTraceBuffer : public TraceSink {
  public:
   void OnTraceEvent(const TraceEvent& event) override { events_.push_back(event); }

@@ -378,27 +378,24 @@ bool TigerSystem::WriteProfile(const std::string& path) const {
   return written == json.size();
 }
 
-void TigerSystem::SetAuditObserver(AuditObserver* auditor) {
-  audit_observer_ = auditor;
-  AuditObserver* sink = auditor;
-  if (engine_ && auditor != nullptr) {
-    audit_relay_ = std::make_unique<AuditObserverRelay>(engine_.get(), auditor);
-    sink = audit_relay_.get();
-  } else {
-    audit_relay_.reset();
-  }
-  for (auto& cub : cubs_) {
-    cub->SetAuditObserver(sink);
-  }
-}
-
 void TigerSystem::EnableFlightRecorder(FlightRecorder::Options options) {
   if (flight_recorder_) {
     return;
   }
   EnableTracing();  // The recorder rides the live trace stream.
   flight_recorder_ = std::make_unique<FlightRecorder>(options, cub_count());
-  InstallTraceSink();
+  if (!engine_) {
+    tracer_->SetSink(flight_recorder_.get());
+    return;
+  }
+  // Sharded: each shard's tracer feeds a buffer the barrier drains in (when,
+  // shard, record order), so the recorder sees one thread-count-invariant
+  // stream.
+  for (auto& tracer : shard_tracers_) {
+    trace_buffers_.push_back(std::make_unique<ShardTraceBuffer>());
+    tracer->SetSink(trace_buffers_.back().get());
+  }
+  engine_->AddBarrierHook([this] { DrainTraceBuffers(); });
 }
 
 void TigerSystem::EnableSloMonitor(SloMonitor::Options options) {
@@ -500,11 +497,8 @@ bool TigerSystem::DumpIncident(const std::string& reason) {
     SnapshotMetrics(TimePoint::Zero(), now);
     files.push_back({"metrics.txt", metrics_->SummaryText()});
   }
-  if (audit_observer_ != nullptr) {
-    std::string report = audit_observer_->ReportJson();
-    if (!report.empty()) {
-      files.push_back({"audit_report.json", std::move(report)});
-    }
+  if (invariant_checker_) {
+    files.push_back({"audit_report.json", invariant_checker_->ReportJson()});
   }
   if (profiling_enabled()) {
     // The one machine-dependent bundle file (tick timings); its counts
@@ -647,12 +641,12 @@ bool TigerSystem::WriteChromeTrace(const std::string& path) const {
   if (tracer_ == nullptr && shard_tracers_.empty()) {
     return false;
   }
-  // Counter tracks from the sampler and the auditor's lineage flow arrows
+  // Counter tracks from the sampler and the checker's lineage flow arrows
   // ride along in the same trace file so Perfetto draws rates under the
   // event swimlanes and connects each record's hops around the ring.
   std::string extra = timeseries_ ? timeseries_->ChromeCounterEvents() : std::string();
-  if (audit_observer_ != nullptr) {
-    extra += audit_observer_->ChromeFlowEvents();
+  if (invariant_checker_) {
+    extra += invariant_checker_->ChromeFlowEvents();
   }
   if (!profile_snapshots_.empty()) {
     // Profiler cost-attribution counters (pid 2) under the sampler's metric
@@ -704,14 +698,10 @@ void TigerSystem::Start() {
     // Fixed registration order — it is the probe order in slo_state.json.
     if (invariant_checker_) {
       InvariantChecker* checker = invariant_checker_.get();
-      slo_monitor_->AddBreachProbe("invariant_violation", [checker] {
-        return static_cast<int64_t>(checker->violations().size());
-      });
-    }
-    if (audit_observer_ != nullptr) {
-      AuditObserver* auditor = audit_observer_;
+      slo_monitor_->AddBreachProbe("invariant_violation",
+                                   [checker] { return checker->invariant_violations(); });
       slo_monitor_->AddBreachProbe("audit_divergence",
-                                   [auditor] { return auditor->FatalDivergences(); });
+                                   [checker] { return checker->fatal_divergences(); });
     }
     if (engine_) {
       engine_->AddPeriodicTask(slo_monitor_->options().eval_cadence, [this] { EvaluateSlo(); });
@@ -756,48 +746,7 @@ uint64_t TigerSystem::processed_events() const {
   return engine_ ? engine_->processed_events() : sim_.processed_events();
 }
 
-void TigerSystem::SetTraceSink(TraceSink* sink) {
-  user_trace_sink_ = sink;
-  InstallTraceSink();
-}
-
-void TigerSystem::InstallTraceSink() {
-  TraceSink* effective = user_trace_sink_;
-  if (flight_recorder_ != nullptr) {
-    if (user_trace_sink_ == nullptr) {
-      // Recorder alone: skip the fanout hop, it is the sink.
-      effective = flight_recorder_.get();
-    } else {
-      // One sink slot, two consumers: fan out to the user sink (the auditor)
-      // first, then the recorder — evidence order unchanged for the auditor.
-      trace_fanout_.Set(user_trace_sink_, flight_recorder_.get());
-      effective = &trace_fanout_;
-    }
-  }
-  if (!engine_) {
-    TIGER_CHECK(tracer_ != nullptr) << "SetTraceSink before EnableTracing";
-    tracer_->SetSink(effective);
-    return;
-  }
-  TIGER_CHECK(!shard_tracers_.empty()) << "SetTraceSink before EnableTracing";
-  trace_sink_ = effective;
-  if (effective != nullptr && trace_buffers_.empty()) {
-    // Lazily interpose the per-shard buffers (and their barrier drain) only
-    // when a live sink exists, so un-audited runs never buffer.
-    for (size_t s = 0; s < shard_tracers_.size(); ++s) {
-      trace_buffers_.push_back(std::make_unique<ShardTraceBuffer>());
-    }
-    engine_->AddBarrierHook([this] { DrainTraceBuffers(); });
-  }
-  for (size_t s = 0; s < shard_tracers_.size(); ++s) {
-    shard_tracers_[s]->SetSink(effective != nullptr ? trace_buffers_[s].get() : nullptr);
-  }
-}
-
 void TigerSystem::DrainTraceBuffers() {
-  if (trace_sink_ == nullptr) {
-    return;
-  }
   // Merge by (when, shard, record order): concatenation in shard order is
   // already grouped by shard, so a stable sort on time alone realizes the
   // full key. One pass per window; buffers stay small (one window of events).
@@ -810,7 +759,7 @@ void TigerSystem::DrainTraceBuffers() {
   std::stable_sort(trace_drain_scratch_.begin(), trace_drain_scratch_.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.when < b.when; });
   for (const TraceEvent& event : trace_drain_scratch_) {
-    trace_sink_->OnTraceEvent(event);
+    flight_recorder_->OnTraceEvent(event);
   }
 }
 

@@ -15,7 +15,6 @@
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/core/address_book.h"
-#include "src/core/audit_hooks.h"
 #include "src/core/config.h"
 #include "src/core/controller.h"
 #include "src/core/cub.h"
@@ -50,8 +49,9 @@ class TigerSystem {
   // Adds a file; start disks are assigned round-robin across the stripe.
   Result<FileId> AddFile(std::string name, int64_t bitrate_bps, Duration duration);
 
-  // Attaches the schedule invariant checker: event hooks on every cub plus a
-  // periodic omniscient scan of every living cub's view. Call before Start()
+  // Attaches the schedule checker (src/core/invariant_checker.h): event and
+  // lineage hooks on every cub plus one periodic omniscient scan of every
+  // living cub's view. The only schedule-checking switch. Call before Start()
   // (and before BootstrapStreams, so bootstrapped slots are tracked).
   void EnableInvariantChecker();
 
@@ -103,13 +103,13 @@ class TigerSystem {
   // --- black-box observability (src/obs; DESIGN.md §6j) ---
   // Attaches the flight recorder to the live trace stream: a bounded,
   // allocation-free ring keeping the last N sim-seconds of events plus
-  // periodic state checkpoints. Implies EnableTracing(). Coexists with
-  // SetTraceSink (a fan-out feeds both). Call before Start().
+  // periodic state checkpoints. Implies EnableTracing(). The recorder is the
+  // live trace sink. Call before Start().
   void EnableFlightRecorder(FlightRecorder::Options options = {});
   FlightRecorder* flight_recorder() { return flight_recorder_.get(); }
 
   // Attaches the online SLO burn-rate monitor over the QoS ledger. Breaches
-  // (budget burns, or the invariant checker or auditor firing) dump an
+  // (budget burns, or the schedule checker firing) dump an
   // incident bundle — at most options.max_incidents per run. Call before
   // Start(); evaluation runs barrier-aligned in sharded runs so results are
   // sim_threads-invariant.
@@ -131,13 +131,6 @@ class TigerSystem {
   const std::vector<std::string>& incident_dirs() const { return incident_dirs_; }
   int incidents_suppressed() const { return incidents_suppressed_; }
   uint64_t seed() const { return seed_; }
-
-  // Attaches a passive audit observer (the ScheduleAuditor) to every cub and
-  // remembers it so WriteChromeTrace can splice its flow arrows. Purely
-  // observational: no protocol path reads it. Call before Start(); nullptr
-  // detaches.
-  void SetAuditObserver(AuditObserver* auditor);
-  AuditObserver* audit_observer() const { return audit_observer_; }
 
   // Begins cub heartbeats and ticks. Call once, before running the simulator.
   void Start();
@@ -216,12 +209,6 @@ class TigerSystem {
   MetricsRegistry* metrics() { return metrics_.get(); }
   TimeSeriesSampler* timeseries() { return timeseries_.get(); }
 
-  // Installs `sink` as the live trace-event consumer (the auditor's
-  // cross-check input). Serial runs set it directly on the tracer; sharded
-  // runs interpose per-shard buffers drained at every barrier in (when,
-  // shard, record order) so the sink sees one thread-count-invariant stream.
-  void SetTraceSink(TraceSink* sink);
-
   // All shards' trace events merged by (when, shard, per-shard order) and
   // renumbered; in serial runs simply the tracer's merged ring contents.
   std::vector<TraceEvent> MergedTraceEvents() const;
@@ -272,11 +259,8 @@ class TigerSystem {
   }
   // Folds per-shard metric registries into the global one (sharded only).
   void FoldShardMetrics();
-  // Barrier hook: drains every shard's trace buffer into trace_sink_.
+  // Barrier hook: drains every shard's trace buffer into the flight recorder.
   void DrainTraceBuffers();
-  // Recomputes the effective tracer sink (user sink, recorder, or the
-  // fan-out of both) and installs it serial/sharded.
-  void InstallTraceSink();
   // Fills one flight-recorder checkpoint from barrier-consistent state.
   void CaptureFlightCheckpoint(TimePoint now);
   // One SLO evaluation tick (driver/barrier context).
@@ -299,18 +283,14 @@ class TigerSystem {
   std::vector<int> cub_shards_;  // cub id -> owning shard (contiguous ring segments).
   std::unique_ptr<QosLedgerRelay> qos_relay_;
   std::unique_ptr<FaultStatsRelay> fault_relay_;
-  std::unique_ptr<AuditObserverRelay> audit_relay_;
   // Sharded tracing: one tracer + registry per shard (merged on export), and
-  // one barrier-drained buffer per shard when a live sink is installed.
+  // one barrier-drained buffer per shard when the flight recorder is on.
   std::vector<std::unique_ptr<Tracer>> shard_tracers_;
   std::vector<std::unique_ptr<MetricsRegistry>> shard_metrics_;
   std::vector<std::unique_ptr<ShardTraceBuffer>> trace_buffers_;
-  TraceSink* trace_sink_ = nullptr;       // Effective sink (may be the fan-out).
-  TraceSink* user_trace_sink_ = nullptr;  // What SetTraceSink was given.
   // Black-box observability (DESIGN.md §6j).
   std::unique_ptr<FlightRecorder> flight_recorder_;
   std::unique_ptr<SloMonitor> slo_monitor_;
-  TraceFanout trace_fanout_;
   std::string incident_dir_;
   std::string incident_scenario_text_;
   std::vector<std::string> incident_dirs_;
@@ -346,7 +326,6 @@ class TigerSystem {
   std::unique_ptr<Controller> controller_;
   std::unique_ptr<Controller> backup_controller_;
   AddressBook addresses_;
-  AuditObserver* audit_observer_ = nullptr;
   // uint8_t, not bool: vector<bool> bit-packs, so two shards failing
   // different cubs in the same window would race on a shared byte.
   std::vector<uint8_t> failed_cubs_;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/audit/auditor.h"
 #include "src/client/testbed.h"
 #include "src/common/check.h"
 #include "src/core/messages.h"
@@ -285,9 +284,6 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
   }
   const TraceTrackId frontier_track = system.tracer()->RegisterTrack("frontier");
 
-  ScheduleAuditor auditor(&system.sim(), &system.config());
-  auditor.Attach(&system);
-
   const bool capture_incidents = !options.incident_dir.empty();
   if (capture_incidents) {
     system.EnableFlightRecorder();
@@ -305,7 +301,6 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
 
   bed.AddContent(descriptor.files, Duration::Seconds(descriptor.file_s));
   bed.Start();
-  auditor.Start();
   for (int v = 0; v < descriptor.viewers; ++v) {
     bed.AddViewer(FileId(static_cast<uint32_t>(v % descriptor.files)));
   }
@@ -334,13 +329,14 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
   outcome.late_blocks = stats.late_blocks;
   outcome.lost_blocks = stats.lost_blocks;
 
-  const InvariantChecker* checker = system.invariant_checker();
-  outcome.invariant_violations = checker->scan_violations();
-  outcome.oracle_conflicts = checker->hook_violations();
-  outcome.audit_divergences = auditor.total_divergences();
-  outcome.truly_lost_records =
-      auditor.CountFor(ScheduleAuditor::DivergenceClass::kTrulyLostRecord);
-  outcome.audit_divergences_fatal = outcome.audit_divergences - outcome.truly_lost_records;
+  using Kind = InvariantChecker::Kind;
+  const InvariantChecker& checker = *system.invariant_checker();
+  outcome.oracle_conflicts =
+      checker.Count(Kind::kLiveDoubleBook) + checker.Count(Kind::kOffBoundarySend);
+  outcome.invariant_violations = checker.invariant_violations() - outcome.oracle_conflicts;
+  outcome.truly_lost_records = checker.Count(Kind::kTrulyLostRecord);
+  outcome.audit_divergences_fatal = checker.fatal_divergences();
+  outcome.audit_divergences = outcome.audit_divergences_fatal + outcome.truly_lost_records;
 
   const QosLedger::Rollup rollup = system.qos_ledger().FleetRollup();
   outcome.unattributed_glitches =
@@ -364,15 +360,19 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
     outcome.detail = "deadman fired: viewer made no progress for a full window";
   } else if (outcome.invariant_violations > 0 || outcome.oracle_conflicts > 0) {
     outcome.verdict = Verdict::kInvariantViolation;
-    outcome.detail = checker->violations().front().what;
+    for (const InvariantChecker::Violation& violation : checker.violations()) {
+      if (InvariantChecker::IsInvariant(violation.kind)) {
+        outcome.detail = violation.what;
+        break;
+      }
+    }
   } else if (outcome.audit_divergences_fatal > 0) {
     outcome.verdict = Verdict::kDivergence;
-    for (size_t c = 0; c < static_cast<size_t>(ScheduleAuditor::DivergenceClass::kClassCount);
-         ++c) {
-      const auto cls = static_cast<ScheduleAuditor::DivergenceClass>(c);
-      if (cls != ScheduleAuditor::DivergenceClass::kTrulyLostRecord &&
-          auditor.CountFor(cls) > 0) {
-        outcome.detail = ScheduleAuditor::ClassName(cls);
+    for (size_t k = 0; k < InvariantChecker::kKinds; ++k) {
+      const auto kind = static_cast<Kind>(k);
+      if (!InvariantChecker::IsInvariant(kind) && kind != Kind::kTrulyLostRecord &&
+          checker.Count(kind) > 0) {
+        outcome.detail = InvariantChecker::KindName(kind);
         break;
       }
     }
@@ -392,7 +392,7 @@ ScenarioOutcome RunScenario(const ScenarioDescriptor& descriptor, const RunOptio
     system.WriteChromeTrace(options.trace_path);
   }
   if (!options.audit_report_path.empty()) {
-    auditor.WriteReportJson(options.audit_report_path);
+    checker.WriteReportJson(options.audit_report_path);
   }
   if (capture_incidents) {
     // Breaches the online monitor can't see mid-run (e.g. a glitch burst too

@@ -1,22 +1,21 @@
 // Deterministic scenario execution and the verdict lattice.
 //
 // RunScenario builds one TigerSystem from a ScenarioDescriptor, attaches
-// every checker the repo has — the InvariantChecker (§4 coherence: slot
-// double-booking, send timing, due coherence, lead bounds), the
-// ScheduleAuditor's shadow global schedule (10 divergence classes), and the
-// QoS ledger (client-observed glitches with causes) — plus a run-level
-// *deadman watchdog*, injects the descriptor's faults, and classifies the
-// outcome into the verdict lattice:
+// every checker the repo has — the schedule checker (InvariantChecker: the
+// five §4 invariants plus the lineage classes of its shadow global
+// schedule) and the QoS ledger (client-observed glitches with causes) —
+// plus a run-level *deadman watchdog*, injects the descriptor's faults, and
+// classifies the outcome into the verdict lattice:
 //
 //   kCleanSurvive        nothing fired, nothing degraded, no glitches
 //   kDegraded            faults fired / mirror chains ran, but clients saw
 //                        zero late or lost blocks
 //   kQosGlitches         clients saw glitches; every one is attributed and
 //                        no coherence property broke
-//   kDivergence          the auditor flagged a class other than truly-lost
-//                        (truly-lost records are the paper's bounded crash
-//                        losses, not incoherence)
-//   kInvariantViolation  the InvariantChecker flagged §4 breakage
+//   kDivergence          the checker flagged a lineage class other than
+//                        truly-lost (truly-lost records are the paper's
+//                        bounded crash losses, not incoherence)
+//   kInvariantViolation  the checker flagged one of the five §4 invariants
 //   kLivelock            the deadman watchdog fired: some viewer made no
 //                        observable progress for a whole window while active
 //                        — stalled, not slow (distinguishable in Perfetto by
@@ -65,13 +64,13 @@ struct ScenarioOutcome {
   int64_t late_blocks = 0;
   int64_t lost_blocks = 0;
 
-  // Checkers. The InvariantChecker's findings split by how they were found:
-  // its periodic view scan, and its event hooks (live double-booking,
-  // off-boundary sends) — each violation counted once.
+  // Schedule checker findings, each counted once per cause. The five §4
+  // classes split into live double-booking + off-boundary sends
+  // (oracle_conflicts) and the other three (invariant_violations).
   int64_t invariant_violations = 0;
   int64_t oracle_conflicts = 0;
-  int64_t audit_divergences = 0;        // All classes.
-  int64_t audit_divergences_fatal = 0;  // Classes other than truly-lost.
+  int64_t audit_divergences = 0;        // All lineage classes.
+  int64_t audit_divergences_fatal = 0;  // Lineage classes other than truly-lost.
   int64_t truly_lost_records = 0;
   int64_t unattributed_glitches = 0;    // Ledger late+lost mismatch vs clients.
 
@@ -84,7 +83,8 @@ struct ScenarioOutcome {
   // Deadman watchdog.
   int64_t livelock_timeouts = 0;
 
-  // First fatal divergence class / invariant text; empty when healthy.
+  // First invariant violation's text / fatal divergence class; empty when
+  // healthy.
   std::string detail;
 };
 
@@ -92,7 +92,7 @@ struct RunOptions {
   // A viewer with zero observable progress for this long (while active)
   // trips the deadman.
   Duration deadman_window = Duration::Seconds(20);
-  // Non-empty: write the Chrome trace / auditor report there after the run.
+  // Non-empty: write the Chrome trace / checker report there after the run.
   std::string trace_path;
   std::string audit_report_path;
   // Non-empty: arm the flight recorder + SLO monitor and write incident

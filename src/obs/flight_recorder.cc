@@ -191,13 +191,4 @@ std::string FlightRecorder::CheckpointsText() const {
   return out;
 }
 
-void TraceFanout::OnTraceEvent(const TraceEvent& event) {
-  if (primary_ != nullptr) {
-    primary_->OnTraceEvent(event);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->OnTraceEvent(event);
-  }
-}
-
 }  // namespace tiger

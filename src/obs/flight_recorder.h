@@ -3,8 +3,8 @@
 // A production fileserver cannot keep full-run traces: the rings in
 // src/trace grow with run length (or wrap and lose the interesting part).
 // The flight recorder inverts that: it subscribes to the live trace stream
-// (the same TraceSink feed the ScheduleAuditor uses, so in sharded runs it
-// sees the barrier-drained (when, shard, record-order) merge — one
+// (the tracer's one live TraceSink; in sharded runs it sees the
+// barrier-drained (when, shard, record-order) merge — one
 // thread-count-invariant stream, DESIGN.md §6h) and retains only the last N
 // sim-seconds of events in a fixed circular buffer, plus a small ring of
 // periodic state checkpoints: per-cub schedule-window digests, viewer
@@ -140,23 +140,6 @@ class FlightRecorder final : public TraceSink {
   std::vector<Checkpoint> checkpoints_;  // Fixed at checkpoint_capacity.
   size_t ckpt_head_ = 0;
   size_t ckpt_size_ = 0;
-};
-
-// Fan-out sink: TigerSystem interposes this when both a live sink (the
-// auditor) and the flight recorder are attached, so the single Tracer sink
-// slot feeds both. The primary sees the event first (evidence order is
-// unchanged for the auditor).
-class TraceFanout final : public TraceSink {
- public:
-  void Set(TraceSink* primary, FlightRecorder* recorder) {
-    primary_ = primary;
-    recorder_ = recorder;
-  }
-  void OnTraceEvent(const TraceEvent& event) override;
-
- private:
-  TraceSink* primary_ = nullptr;
-  FlightRecorder* recorder_ = nullptr;
 };
 
 }  // namespace tiger

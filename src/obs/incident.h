@@ -13,7 +13,7 @@
 //     qos_summary.txt    QoS ledger fleet/per-viewer/cause rollups
 //     qos_glitches.csv   every retained glitch, attributed
 //     metrics.txt        metrics-registry snapshot
-//     audit_report.json  the ScheduleAuditor's divergence report (if attached)
+//     audit_report.json  the schedule checker's report (if enabled)
 //     profile.json       tiger-profile-v1 (if profiling; machine-dependent)
 //     scenario.txt       byte-exact ScenarioDescriptor (frontier runs) — feed
 //                        it to tools/replay_scenario to reproduce the run

@@ -13,9 +13,9 @@
 // Per-viewer budgets ride along: the worst viewer's cumulative glitch rate
 // against its own allowance, so one starved stream can't hide in fleet
 // averages (§5's per-viewer tables, made live). Beyond the ledger, breach
-// probes poll monotone counters from the repo's checkers — InvariantChecker
-// violations and the ScheduleAuditor's fatal divergence count — and any
-// positive delta is an instant breach.
+// probes poll monotone counters from the schedule checker — its §4
+// invariant violations and its fatal divergence count — and any positive
+// delta is an instant breach.
 //
 // On breach the monitor calls the incident handler (TigerSystem wires it to
 // DumpIncident, capping bundle count); it never writes files itself.

@@ -30,7 +30,7 @@ namespace tiger {
 inline constexpr int64_t kViewerStateWireBytes = 100;
 
 // Causal lineage carried inside the record's reserved "other bookkeeping"
-// tail. Lets an offline auditor reconstruct each record's trip around the
+// tail. Lets the schedule checker reconstruct each record's trip around the
 // ring: which cub minted the chain, how many hops it has taken, and a
 // Lamport stamp ordering it against every other control message it raced.
 // Zero protocol effect — the schedule never reads these fields — and zero

@@ -14,8 +14,8 @@
 // s + L > C + L ≥ H, i.e. strictly after the window, so shards cannot
 // observe each other mid-window and may run concurrently. W is the largest
 // divisor of 1 ms that is ≤ L (L = 300 µs today → W = 250 µs), so every
-// millisecond-multiple cadence in the system (time-series sampling, audit
-// ticks) lands exactly on a window barrier. Windows that contain no work are
+// millisecond-multiple cadence in the system (time-series sampling, checker
+// scans) lands exactly on a window barrier. Windows that contain no work are
 // skipped: the next barrier jumps to the earliest pending event or task due,
 // aligned up to the W grid — the alignment keeps the safety bound, since
 // AlignUp(T) < T + W ≤ T + L.
@@ -32,12 +32,12 @@
 //      (arrival time, source shard, per-source sequence). Heap FIFO
 //      tie-breaking then makes same-instant arrivals fire in that order —
 //      deterministic and thread-count-invariant.
-//   2. Observer journals (audit hooks, stats mutations deferred from shard
+//   2. Observer journals (checker hooks, stats mutations deferred from shard
 //      context) apply in (emission time, shard, per-shard sequence) order.
 //   3. Barrier hooks run in registration order (e.g. fault-plan anchor
 //      arming, trace-sink drains).
 //   4. Periodic tasks whose due time equals H run in registration order —
-//      this is how samplers and auditors observe a globally consistent
+//      this is how samplers and checkers observe a globally consistent
 //      instant without an actor loop of their own.
 //
 // Thread→shard assignment is static (worker w owns shards {k : k mod T == w};

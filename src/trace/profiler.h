@@ -101,7 +101,7 @@ enum class ProfCategory : uint8_t {
   kEngineBarrierWait,    // Driver waiting for worker threads at the barrier.
   kEngineMergePosts,     // Cross-shard post drain + deterministic merge sort.
   kEngineJournalReplay,  // Observer journal sort + apply.
-  kEnginePeriodicTasks,  // Barrier hooks + periodic tasks (samplers, auditors).
+  kEnginePeriodicTasks,  // Barrier hooks + periodic tasks (samplers, checkers).
   kCount,  // sentinel
 };
 

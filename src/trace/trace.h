@@ -96,8 +96,8 @@ struct TraceEvent {
 
 // Live subscriber to every recorded event, invoked synchronously from the
 // recording path *before* the ring can drop it — so a subscriber (the
-// ScheduleAuditor) sees complete evidence even on runs long enough to wrap
-// the rings. Implementations must not call back into the Tracer.
+// flight recorder) sees every event even on runs long enough to wrap the
+// rings. Implementations must not call back into the Tracer.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

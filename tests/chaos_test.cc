@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/audit/auditor.h"
 #include "src/client/testbed.h"
 #include "src/frontier/runner.h"
 #include "src/frontier/scenario.h"
@@ -31,7 +30,7 @@ TigerConfig ChaosConfig() {
 
 struct ChaosOutcome {
   std::string event_log;
-  int64_t invariant_violations = 0;  // Hook and scan findings alike.
+  int64_t invariant_violations = 0;  // The five §4 classes.
   int64_t checks_run = 0;
   ViewerClient::Stats totals;
   Cub::Counters counters;
@@ -55,13 +54,10 @@ struct ChaosOutcome {
   size_t ts_series = 0;
   size_t ts_ticks = 0;
   std::string ts_csv;
-  // --- schedule auditor (shadow global schedule) ---
-  int64_t audit_divergences = 0;
+  // --- schedule checker lineage (shadow global schedule) ---
   int64_t audit_chains = 0;
   int64_t audit_rescued = 0;
-  int64_t audit_checks = 0;
-  int64_t audit_by_class[static_cast<size_t>(
-      ScheduleAuditor::DivergenceClass::kClassCount)] = {};
+  int64_t counts_by_kind[InvariantChecker::kKinds] = {};
   std::string audit_report;
 };
 
@@ -74,10 +70,9 @@ ChaosOutcome RunChaosScenario(uint64_t seed, bool print_summary) {
   // Continuous telemetry: one metrics snapshot per simulated second, exported
   // below as CSV next to the trace when CI collects artifacts.
   system.EnableTimeSeries(Duration::Seconds(1));
-  // The shadow-schedule auditor rides along on every chaos run: lineage
-  // evidence in, divergence report out (uploaded as a CI artifact on failure).
-  ScheduleAuditor auditor(&system.sim(), &system.config());
-  auditor.Attach(&system);
+  // The checker's lineage half rides along too: evidence in, report out
+  // (uploaded as a CI artifact on failure).
+  const InvariantChecker& checker = *system.invariant_checker();
 
   const TimePoint t0 = TimePoint::Zero();
   // Delay and duplicate cub-originated control messages for overlapping
@@ -109,7 +104,6 @@ ChaosOutcome RunChaosScenario(uint64_t seed, bool print_summary) {
   // file 4 starts on the disk of cub 4 — the cub this scenario crashes.
   testbed.AddContent(8, Duration::Seconds(60));
   testbed.Start();
-  auditor.Start();
   for (int i = 0; i < 4; ++i) {
     testbed.AddViewer(FileId(static_cast<uint32_t>(i)));
   }
@@ -136,9 +130,8 @@ ChaosOutcome RunChaosScenario(uint64_t seed, bool print_summary) {
 
   ChaosOutcome out;
   out.event_log = system.fault_stats().EventLog();
-  out.invariant_violations =
-      static_cast<int64_t>(system.invariant_checker()->violations().size());
-  out.checks_run = system.invariant_checker()->checks_run();
+  out.invariant_violations = checker.invariant_violations();
+  out.checks_run = checker.checks_run();
   out.totals = testbed.TotalClientStats();
   out.counters = system.TotalCubCounters();
   out.delayed = system.fault_stats().Count(FaultStats::Kind::kMessageDelayed);
@@ -159,22 +152,20 @@ ChaosOutcome RunChaosScenario(uint64_t seed, bool print_summary) {
   out.ts_csv = system.timeseries()->Csv();
   out.late_plays_started = late.stats().plays_started;
   out.late_inserts_at_revived_cub = system.cub(CubId(4)).counters().inserts - inserts_before;
-  out.audit_divergences = auditor.total_divergences();
-  out.audit_chains = auditor.chains_seen();
-  out.audit_rescued = auditor.rescued_by_second_successor();
-  out.audit_checks = auditor.checks_run();
-  for (size_t c = 0; c < static_cast<size_t>(ScheduleAuditor::DivergenceClass::kClassCount);
-       ++c) {
-    out.audit_by_class[c] =
-        auditor.CountFor(static_cast<ScheduleAuditor::DivergenceClass>(c));
+  out.audit_chains = checker.chains_seen();
+  out.audit_rescued = checker.rescued_by_second_successor();
+  for (size_t k = 0; k < InvariantChecker::kKinds; ++k) {
+    out.counts_by_kind[k] = checker.Count(static_cast<InvariantChecker::Kind>(k));
   }
-  out.audit_report = auditor.ReportJson();
+  out.audit_report = checker.ReportJson();
   if (late.startup_latency().count() > 0) {
     out.late_startup_seconds = late.startup_latency().Mean();
   }
   if (print_summary) {
-    for (const auto& violation : system.invariant_checker()->violations()) {
-      ADD_FAILURE() << "invariant violated at " << violation.when << ": " << violation.what;
+    for (const auto& violation : checker.violations()) {
+      if (InvariantChecker::IsInvariant(violation.kind)) {
+        ADD_FAILURE() << "invariant violated at " << violation.when << ": " << violation.what;
+      }
     }
     system.fault_stats().PrintSummary();
     system.SnapshotMetrics(t0, system.sim().Now());
@@ -187,18 +178,18 @@ ChaosOutcome RunChaosScenario(uint64_t seed, bool print_summary) {
       EXPECT_TRUE(system.metrics()->WriteSummary(std::string(dir) + "/chaos_metrics.txt"));
       EXPECT_TRUE(system.timeseries()->WriteCsv(std::string(dir) + "/chaos_timeseries.csv"));
       EXPECT_TRUE(system.qos_ledger().WriteCsv(std::string(dir) + "/chaos_qos.csv"));
-      EXPECT_TRUE(auditor.WriteReportJson(std::string(dir) + "/divergence_report.json"));
-      EXPECT_TRUE(auditor.WriteLineageCsv(std::string(dir) + "/lineage.csv"));
+      EXPECT_TRUE(checker.WriteReportJson(std::string(dir) + "/divergence_report.json"));
+      EXPECT_TRUE(checker.WriteLineageCsv(std::string(dir) + "/lineage.csv"));
     }
   }
   return out;
 }
 
-// An all-healthy run (no injected faults) under the auditor: every record's
-// lineage must reassemble into a coherent shadow schedule with zero
-// divergence of any class.
+// An all-healthy run (no injected faults) under the checker: every record's
+// lineage must reassemble into a coherent shadow schedule with zero findings
+// of any class.
 struct HealthyAuditOutcome {
-  int64_t divergences = 0;
+  int64_t findings = 0;
   int64_t chains = 0;
   int64_t forwards = 0;
   int64_t checks = 0;
@@ -209,11 +200,9 @@ HealthyAuditOutcome RunHealthyAuditScenario(uint64_t seed) {
   Testbed testbed(ChaosConfig(), seed);
   TigerSystem& system = testbed.system();
   system.EnableInvariantChecker();
-  ScheduleAuditor auditor(&system.sim(), &system.config());
-  auditor.Attach(&system);
+  const InvariantChecker& checker = *system.invariant_checker();
   testbed.AddContent(8, Duration::Seconds(45));
   testbed.Start();
-  auditor.Start();
   // Seed-varied load: between 3 and 6 viewers across different files.
   const int viewers = 3 + static_cast<int>(seed % 4);
   for (int i = 0; i < viewers; ++i) {
@@ -222,11 +211,11 @@ HealthyAuditOutcome RunHealthyAuditScenario(uint64_t seed) {
   testbed.RunFor(Duration::Seconds(60));
 
   HealthyAuditOutcome out;
-  out.divergences = auditor.total_divergences();
-  out.chains = auditor.chains_seen();
-  out.forwards = auditor.forwards_observed();
-  out.checks = auditor.checks_run();
-  out.report = auditor.ReportJson();
+  out.findings = checker.total();
+  out.chains = checker.chains_seen();
+  out.forwards = checker.forwards_observed();
+  out.checks = checker.checks_run();
+  out.report = checker.ReportJson();
   return out;
 }
 
@@ -292,22 +281,20 @@ TEST(ChaosTest, SeededFaultPlanHoldsInvariantsAndBoundsGlitches) {
   EXPECT_GE(out.ts_ticks, 100u) << "one tick per simulated second for 110 s";
   EXPECT_EQ(out.ts_csv.compare(0, 7, "time_s,"), 0);
 
-  // --- shadow-schedule auditor: even under faults, the evidence reassembles
-  // into a coherent schedule. The crash can only produce the divergence
-  // classes the paper's failure analysis predicts (records that died with
-  // the crashed cub); the correctness classes stay silent.
+  // --- shadow schedule: even under faults, the lineage evidence reassembles
+  // into a coherent schedule. The crash can only produce the class the
+  // paper's failure analysis predicts (records that died with the crashed
+  // cub); every other class stays silent.
   EXPECT_GT(out.audit_chains, 0);
-  EXPECT_GT(out.audit_checks, 100);
   EXPECT_GT(out.audit_rescued, 0)
       << "the crash must exercise §4.1.1's second-successor rescue";
-  using DC = ScheduleAuditor::DivergenceClass;
-  for (size_t c = 0; c < static_cast<size_t>(DC::kClassCount); ++c) {
-    const auto cls = static_cast<DC>(c);
-    if (cls == DC::kTrulyLostRecord) {
+  for (size_t k = 0; k < InvariantChecker::kKinds; ++k) {
+    const auto kind = static_cast<InvariantChecker::Kind>(k);
+    if (kind == InvariantChecker::Kind::kTrulyLostRecord) {
       continue;  // Blocks that died with the crash are bounded, not zero.
     }
-    EXPECT_EQ(out.audit_by_class[c], 0)
-        << ScheduleAuditor::ClassName(cls) << "\n" << out.audit_report;
+    EXPECT_EQ(out.counts_by_kind[k], 0)
+        << InvariantChecker::KindName(kind) << "\n" << out.audit_report;
   }
 }
 
@@ -328,13 +315,13 @@ TEST(ChaosTest, IdenticalSeedsProduceIdenticalFaultSequences) {
 }
 
 // Ten different all-healthy interleavings: the shadow global schedule the
-// auditor reconstructs from lineage evidence must match every cub's local
-// window exactly — zero divergence on every seed.
+// checker reconstructs from lineage evidence must match every cub's local
+// window exactly — zero findings on every seed.
 TEST(ChaosTest, AuditorTenSeedHealthySweepReportsZeroDivergence) {
   const std::vector<uint64_t> seeds = {3, 17, 42, 97, 251, 1009, 4099, 20011, 65537, 999983};
   for (uint64_t seed : seeds) {
     HealthyAuditOutcome out = RunHealthyAuditScenario(seed);
-    EXPECT_EQ(out.divergences, 0) << "seed " << seed << "\n" << out.report;
+    EXPECT_EQ(out.findings, 0) << "seed " << seed << "\n" << out.report;
     EXPECT_GT(out.chains, 0) << "seed " << seed;
     EXPECT_GT(out.forwards, 0) << "seed " << seed;
     EXPECT_GT(out.checks, 100) << "seed " << seed;

@@ -1,89 +1,18 @@
-// Unit tests for the schedule invariant checker: each of its five assertions
-// fires exactly once per cause, and a persistent violation is reported once.
-//
-// The checker is driven directly: hooks are called by hand, and the scan runs
-// over views seeded with BootstrapRecord on an unstarted system (records go to
-// cubs that do not serve them, so no protocol work is scheduled and the views
-// stay exactly as placed).
+// Unit tests for the schedule checker's five §4 invariants: each fires
+// exactly once per cause and no other class fires with it, and a persistent
+// violation is reported once. (The lineage classes are in audit_test.cc;
+// both suites share tests/checker_fixture.h.)
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "src/core/invariant_checker.h"
-#include "src/core/system.h"
+#include "tests/checker_fixture.h"
 
 namespace tiger {
 namespace {
 
-using Kind = InvariantChecker::Kind;
-
-class InvariantCheckerTest : public ::testing::Test {
- protected:
-  InvariantCheckerTest() : system_(Config(), 7), checker_(&system_, nullptr) {
-    file_ = system_
-                .AddFile("content", system_.config().max_stream_bps,
-                         system_.config().block_play_time * 60)
-                .value();
-  }
-
-  static TigerConfig Config() {
-    TigerConfig config;
-    config.shape = SystemShape{4, 1, 2};
-    config.simulate_data_plane = false;
-    return config;
-  }
-
-  // A primary record for `slot` due at the slot's first serving instant at or
-  // after `not_before`, addressed the way BootstrapStreams addresses them.
-  ViewerStateRecord Record(uint32_t slot, uint64_t instance, TimePoint not_before) {
-    const ScheduleGeometry::ServingEvent serving =
-        system_.geometry().SoonestServingDisk(SlotId(slot), not_before);
-    const FileInfo& info = system_.catalog().Get(file_);
-    const int total_disks = system_.config().shape.TotalDisks();
-    ViewerStateRecord record;
-    record.viewer = ViewerId(static_cast<uint32_t>(instance));
-    record.instance = PlayInstanceId(instance);
-    record.file = file_;
-    record.position =
-        ((static_cast<int64_t>(serving.disk.value()) - info.start_disk.value()) % total_disks +
-         total_disks) %
-        total_disks;
-    record.slot = SlotId(slot);
-    record.due = serving.due;
-    record.bitrate_bps = system_.config().max_stream_bps;
-    return record;
-  }
-
-  // Cubs that hold `record` only as a backup (not its serving cub).
-  std::vector<CubId> NonServingCubs(const ViewerStateRecord& record) {
-    const DiskId disk =
-        system_.layout().PrimaryDisk(system_.catalog().Get(record.file), record.position);
-    const CubId owner = system_.config().shape.CubOfDisk(disk);
-    std::vector<CubId> cubs;
-    for (int c = 0; c < system_.cub_count(); ++c) {
-      if (CubId(static_cast<uint32_t>(c)) != owner) {
-        cubs.push_back(CubId(static_cast<uint32_t>(c)));
-      }
-    }
-    return cubs;
-  }
-
-  TimePoint At(int64_t ms) { return TimePoint::Zero() + Duration::Millis(ms); }
-
-  // Advances simulated time past the scan's settle window.
-  void Settle() { system_.RunFor(Duration::Millis(400)); }
-
-  void ExpectOnly(Kind kind) {
-    EXPECT_EQ(checker_.Count(kind), 1);
-    ASSERT_EQ(checker_.violations().size(), 1u);
-    EXPECT_EQ(checker_.violations().front().kind, kind);
-  }
-
-  TigerSystem system_;
-  InvariantChecker checker_;
-  FileId file_;
-};
+using InvariantCheckerTest = CheckerTest;
 
 TEST_F(InvariantCheckerTest, LiveDoubleBookFiresOncePerConflictingInsert) {
   checker_.OnInsert(SlotId(5), PlayInstanceId(1), At(0));
@@ -91,8 +20,6 @@ TEST_F(InvariantCheckerTest, LiveDoubleBookFiresOncePerConflictingInsert) {
   EXPECT_TRUE(checker_.violations().empty());
   checker_.OnInsert(SlotId(5), PlayInstanceId(3), At(2));
   ASSERT_NO_FATAL_FAILURE(ExpectOnly(Kind::kLiveDoubleBook));
-  EXPECT_EQ(checker_.hook_violations(), 1);
-  EXPECT_EQ(checker_.scan_violations(), 0);
   // Once both occupants leave, the slot is free again.
   checker_.OnRemove(SlotId(5), PlayInstanceId(1));
   checker_.OnRemove(SlotId(5), PlayInstanceId(3));
@@ -103,14 +30,17 @@ TEST_F(InvariantCheckerTest, LiveDoubleBookFiresOncePerConflictingInsert) {
 
 TEST_F(InvariantCheckerTest, OffBoundarySendFiresOncePerMistimedSend) {
   const DiskId disk(1);
-  const SlotId slot(3);
-  const TimePoint due = system_.geometry().NextSlotStart(disk, slot, At(1000));
-  checker_.OnPrimarySend(slot, disk, due);
+  ViewerStateRecord record;
+  record.instance = PlayInstanceId(11);
+  record.slot = SlotId(3);
+  record.due = system_.geometry().NextSlotStart(disk, record.slot, At(1000));
+  const TimePoint due = record.due;
+  checker_.OnPrimarySend(1, record, disk);
   EXPECT_TRUE(checker_.violations().empty());
-  checker_.OnPrimarySend(slot, disk, due + Duration::Millis(1));
+  record.due = due + Duration::Millis(1);
+  checker_.OnPrimarySend(1, record, disk);
   ASSERT_NO_FATAL_FAILURE(ExpectOnly(Kind::kOffBoundarySend));
   EXPECT_EQ(checker_.violations().front().when, due + Duration::Millis(1));
-  EXPECT_EQ(checker_.hook_violations(), 1);
 }
 
 TEST_F(InvariantCheckerTest, SettledDoubleBookFiresOnceAndOnlyAfterSettling) {
@@ -126,7 +56,6 @@ TEST_F(InvariantCheckerTest, SettledDoubleBookFiresOnceAndOnlyAfterSettling) {
   Settle();
   checker_.CheckNow();
   ASSERT_NO_FATAL_FAILURE(ExpectOnly(Kind::kSettledDoubleBook));
-  EXPECT_EQ(checker_.scan_violations(), 1);
   // The conflict persists in the views; it is still reported once.
   checker_.CheckNow();
   checker_.CheckNow();
@@ -151,8 +80,7 @@ TEST_F(InvariantCheckerTest, DueMismatchFiresOncePerDisagreement) {
 }
 
 TEST_F(InvariantCheckerTest, LeadBoundFiresOncePerEarlyRecord) {
-  const TigerConfig& config = system_.config();
-  const Duration max_lead = config.max_vstate_lead + config.block_play_time * 2;
+  const Duration max_lead = config().max_vstate_lead + config().block_play_time * 2;
   const ViewerStateRecord early = Record(6, 301, At(0) + max_lead + Duration::Seconds(1));
   const ViewerStateRecord timely = Record(7, 302, At(2000));
   system_.cub(NonServingCubs(early)[0]).BootstrapRecord(early);
@@ -164,6 +92,19 @@ TEST_F(InvariantCheckerTest, LeadBoundFiresOncePerEarlyRecord) {
   Settle();
   checker_.CheckNow();
   EXPECT_EQ(checker_.violations().size(), 1u);
+}
+
+TEST_F(InvariantCheckerTest, LeadBoundOnReceiptAndInTheViewIsOneFinding) {
+  // The receive hook and the scan both judge an early record; one cause is
+  // one finding.
+  const Duration max_lead = config().max_vstate_lead + config().block_play_time * 2;
+  const ViewerStateRecord early = Record(6, 303, At(0) + max_lead + Duration::Seconds(1));
+  const CubId holder = NonServingCubs(early)[0];
+  system_.cub(holder).BootstrapRecord(early);
+  checker_.OnRecordReceived(Now(), holder.value(), early, ScheduleView::ApplyResult::kNew);
+  ASSERT_NO_FATAL_FAILURE(ExpectOnly(Kind::kLeadBound));
+  checker_.CheckNow();
+  ASSERT_NO_FATAL_FAILURE(ExpectOnly(Kind::kLeadBound));
 }
 
 TEST(InvariantCheckerSystemTest, EnableWiresHooksAndScanOnce) {
@@ -186,8 +127,9 @@ TEST(InvariantCheckerSystemTest, EnableWiresHooksAndScanOnce) {
   system.RunFor(Duration::Seconds(5));
   EXPECT_EQ(checker->insert_count(), 3);
   EXPECT_EQ(checker->checks_run(), 20);  // One scan per kPeriod.
+  EXPECT_GT(checker->forwards_observed(), 0) << "lineage hooks are wired too";
   EXPECT_GT(system.TotalCubCounters().blocks_sent, 0);
-  EXPECT_TRUE(checker->violations().empty());
+  EXPECT_TRUE(checker->violations().empty()) << checker->ReportJson();
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/audit/auditor.h"
 #include "src/core/system.h"
 #include "src/frontier/runner.h"
 #include "src/frontier/scenario.h"
@@ -170,9 +169,7 @@ BundleFiles RunShardedIncident(uint64_t seed, int threads, const std::string& di
   system.EnableFlightRecorder();
   system.EnableSloMonitor();
   system.SetIncidentDir(parent);
-  ScheduleAuditor auditor(&system.sim(), &system.config());
-  auditor.Attach(&system);
-  auditor.Start();
+  system.EnableInvariantChecker();
   SinkEndpoint sink;
   NetAddress sink_addr = system.net().Attach(&sink, "sink", config.client_nic_bps);
   const int streams = static_cast<int>(static_cast<double>(config.MaxStreams()) * 0.5);

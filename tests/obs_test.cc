@@ -1,5 +1,5 @@
 // Unit tests for the observability layer: the FlightRecorder's bounded
-// window + checkpoint rings, the TraceFanout tee, and the SloMonitor's
+// window + checkpoint rings, and the SloMonitor's
 // burn-rate math, probe breaches and deterministic state rendering.
 
 #include <string>
@@ -114,35 +114,6 @@ TEST(FlightRecorderTest, ReusedCheckpointSlotIsZeroed) {
   EXPECT_EQ(second->viewers, 0);
   EXPECT_EQ(second->cubs[1].holds, 0u);
   EXPECT_EQ(second->when, At(2));
-}
-
-class RecordingSink : public TraceSink {
- public:
-  void OnTraceEvent(const TraceEvent& event) override { seen.push_back(event.when); }
-  std::vector<TimePoint> seen;
-};
-
-TEST(TraceFanoutTest, FeedsPrimaryAndRecorder) {
-  FlightRecorder::Options options;
-  options.capacity = 8;
-  FlightRecorder recorder(options, 1);
-  RecordingSink primary;
-  TraceFanout fanout;
-  fanout.Set(&primary, &recorder);
-  fanout.OnTraceEvent(EventAt(1));
-  fanout.OnTraceEvent(EventAt(2));
-  ASSERT_EQ(primary.seen.size(), 2u);
-  EXPECT_EQ(recorder.window_size(), 2u);
-}
-
-TEST(TraceFanoutTest, NullPrimaryIsFine) {
-  FlightRecorder::Options options;
-  options.capacity = 8;
-  FlightRecorder recorder(options, 1);
-  TraceFanout fanout;
-  fanout.Set(nullptr, &recorder);
-  fanout.OnTraceEvent(EventAt(1));
-  EXPECT_EQ(recorder.window_size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

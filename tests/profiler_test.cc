@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/audit/auditor.h"
 #include "src/core/config.h"
 #include "src/core/system.h"
 #include "src/net/network.h"
@@ -162,11 +161,9 @@ ProfiledRun RunShape(uint64_t seed, int shards, int threads, bool profiled) {
   if (profiled) {
     system.EnableProfiling();
   }
-  // The auditor's observer hooks drive the kQosAudit relays, so the
-  // qos_audit category has traffic to count.
-  ScheduleAuditor auditor(&system.sim(), &system.config());
-  auditor.Attach(&system);
-  auditor.Start();
+  // The schedule checker's hooks journal under kQosAudit, so the qos_audit
+  // category has traffic to count.
+  system.EnableInvariantChecker();
   SinkEndpoint sink;
   NetAddress sink_addr = system.net().Attach(&sink, "sink", config.client_nic_bps);
   const int streams = static_cast<int>(static_cast<double>(config.MaxStreams()) * kLoad);

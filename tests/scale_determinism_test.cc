@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <string>
 
-#include "src/audit/auditor.h"
 #include "src/core/system.h"
 #include "src/net/network.h"
 
@@ -104,9 +103,9 @@ TEST(ScaleDeterminismTest, SameSeedTwiceIsByteIdenticalAt100Cubs) {
 // for a fixed shard count, every observable dump must be byte-identical
 // across *thread counts*. This sweep runs the 100-cub shape on 8 shards with
 // 1 worker thread and again with 4, under full instrumentation (time series,
-// tracing with a live auditor sink, audit hooks), and compares the
-// time-series CSV, the merged trace text dump, the folded metrics, the
-// auditor's divergence report and the event count byte-for-byte.
+// tracing, the schedule checker's journaled hooks and barrier scan), and
+// compares the time-series CSV, the merged trace text dump, the folded
+// metrics, the checker's report and the event count byte-for-byte.
 
 constexpr Duration kShardedRunFor = Duration::Seconds(12);
 
@@ -140,9 +139,6 @@ ShardedDump RunShardedOnce(uint64_t seed, int shards, int threads,
   if (profiled) {
     system.EnableProfiling();
   }
-  ScheduleAuditor auditor(&system.sim(), &system.config());
-  auditor.Attach(&system);
-  auditor.Start();
   SinkEndpoint sink;
   NetAddress sink_addr = system.net().Attach(&sink, "sink", config.client_nic_bps);
   const int streams = static_cast<int>(static_cast<double>(config.MaxStreams()) * kLoad);
@@ -159,7 +155,7 @@ ShardedDump RunShardedOnce(uint64_t seed, int shards, int threads,
   dump.clamped_posts = system.engine() != nullptr ? system.engine()->clamped_posts() : 0;
   dump.timeseries_csv = system.timeseries()->Csv();
   dump.trace_text = system.TraceTextDump();
-  dump.audit_report = auditor.ReportJson();
+  dump.audit_report = system.invariant_checker()->ReportJson();
   dump.fault_log = system.fault_stats().EventLog();
   dump.qos_summary = system.qos_ledger().SummaryText();
   const InvariantChecker& checker = *system.invariant_checker();

@@ -12,8 +12,8 @@
 // With --expect, exits nonzero unless the replayed verdict matches — this is
 // how the frontier smoke test pins every published counterexample to its
 // recorded verdict. --trace/--audit-report dump the Chrome trace (with the
-// LIVELOCK_DEADMAN instants on the frontier track) and the auditor's
-// divergence report for post-mortem. --incident-dir arms the flight recorder
+// LIVELOCK_DEADMAN instants on the frontier track) and the schedule
+// checker's report for post-mortem. --incident-dir arms the flight recorder
 // and SLO monitor: a breach (or a bad final verdict) writes a
 // tiger-incident-v1 bundle under that directory (inspect with tigerwatch).
 
