@@ -382,11 +382,13 @@ void InvariantChecker::OnRecordForwarded(TimePoint when, uint32_t from, uint32_t
     if (chain == nullptr) {
       return;
     }
-    forwards_observed_++;
     CheckArithmetic(*chain, record, when, from);
     PendingForward& pending =
         chain->pending[PendingKey(record.sequence, record.mirror_fragment)];
     if (pending.targets_mask == 0) {
+      // Counted per record, like deliveries: the second successor's copy of
+      // a double-forwarded record is not a second forward.
+      forwards_observed_++;
       pending.first_sent = when;
     }
     pending.targets_mask |= CubBit(to);

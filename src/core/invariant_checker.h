@@ -249,6 +249,9 @@ class InvariantChecker {
   int64_t checks_run() const { return checks_run_; }
   int64_t insert_count() const { return inserts_; }
   int64_t rescued_by_second_successor() const { return rescued_by_second_successor_; }
+  // Both count records, keyed by (sequence, fragment) per chain: a record is
+  // observed when first forwarded, and delivered once every target received
+  // it (or, when the loss horizon passes, once at least one had).
   int64_t forwards_observed() const { return forwards_observed_; }
   int64_t forwards_delivered() const { return forwards_delivered_; }
   int64_t chains_seen() const { return chains_created_; }

@@ -2,6 +2,13 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "src/trace/profiler.h"
 
 namespace tiger {
@@ -16,6 +23,62 @@ constexpr int64_t kGridDivisorsUs[] = {1000, 500, 250, 200, 125, 100, 50, 40, 25
 
 int64_t AlignUpTo(int64_t value, int64_t grid) {
   return value + (grid - value % grid) % grid;
+}
+
+// Wait budgets for the window hand-off, in polls of the awaited word. On the
+// 250-cub / 8-shard / 4-thread ring a window holds ~6 events, so with a CPU per
+// thread the other side usually answers within the pause spin: on a 4-core
+// host these budgets ran that ring at 2.1x the stream-seconds per wall-second
+// of a mutex + condition-variable hand-off (window wall p50 17.7 -> 3.5 us).
+// On an oversubscribed host the other side cannot answer until it is
+// scheduled, and the yields hand it the CPU: a spin with no yield phase (4000
+// pauses) ran the ring pinned to 1 CPU at 8k stream-s/s, the mutex 60-80k. There,
+// the spin itself only delays the thread being waited for, so it is skipped
+// (UsableCpus below): pinned to 1 CPU the ring then ran 1.1-1.3x the mutex
+// hand-off instead of 0.9-1.0x, and pinned to 2 CPUs 2.2-2.5x. Past both
+// budgets the waiter parks, so an idle engine burns no CPU.
+constexpr int kSpinPauses = 64;
+constexpr int kYieldPolls = 200;
+
+// CPUs this process may run on: its affinity mask, where the platform has one.
+int UsableCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return CPU_COUNT(&set);
+  }
+#endif
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+// Blocks until ready(word) holds, acquiring the value that satisfied it:
+// spin, then yield, then park. `first_poll` past the spin and yield budgets
+// parks at once. Publishers bump the word with a seq_cst read-modify-write
+// before notifying: notify skips the futex wake when the library's waiter
+// count reads zero, and a plain store could be reordered after that read,
+// losing the wake-up of a waiter that parked in between.
+template <typename Ready>
+uint32_t SpinYieldPark(const std::atomic<uint32_t>& word, Ready ready, int first_poll = 0) {
+  uint32_t v = word.load(std::memory_order_acquire);
+  for (int poll = first_poll; !ready(v); ++poll) {
+    if (poll < kSpinPauses) {
+      CpuRelax();
+    } else if (poll < kSpinPauses + kYieldPolls) {
+      std::this_thread::yield();
+    } else {
+      word.wait(v, std::memory_order_acquire);
+    }
+    v = word.load(std::memory_order_acquire);
+  }
+  return v;
 }
 
 }  // namespace
@@ -45,6 +108,7 @@ ShardEngine::ShardEngine(Options options) : options_(options) {
     sims_.back()->set_shard_tag(static_cast<uint8_t>(i));
   }
   lanes_ = std::vector<ShardLane>(static_cast<size_t>(options.shards));
+  first_poll_ = UsableCpus() < threads_ ? kSpinPauses : 0;
   workers_.reserve(static_cast<size_t>(threads_ - 1));
   for (int w = 1; w < threads_; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -52,11 +116,9 @@ ShardEngine::ShardEngine(Options options) : options_(options) {
 }
 
 ShardEngine::~ShardEngine() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
+  shutdown_ = true;
+  epoch_.fetch_add(1);
+  epoch_.notify_all();
   for (std::thread& t : workers_) {
     t.join();
   }
@@ -142,24 +204,21 @@ void ShardEngine::RunOwnedShards(int worker, TimePoint horizon) {
 }
 
 void ShardEngine::WorkerLoop(int worker) {
-  uint64_t seen_epoch = 0;
+  uint32_t seen = 0;
+  // Park straight away before the first epoch: set-up pays no spin.
+  int first_poll = kSpinPauses + kYieldPolls;
   for (;;) {
-    TimePoint horizon;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      start_cv_.wait(lk, [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) {
-        return;
-      }
-      seen_epoch = epoch_;
-      horizon = horizon_;
+    seen = SpinYieldPark(epoch_, [seen](uint32_t e) { return e != seen; }, first_poll);
+    first_poll = first_poll_;
+    if (shutdown_) {
+      return;
     }
-    RunOwnedShards(worker, horizon);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      --workers_running_;
+    RunOwnedShards(worker, horizon_);
+    // Only the last worker in wakes the driver; the others' increments reach
+    // it through the release sequence of this read-modify-write chain.
+    if (done_.fetch_add(1) + 1 == static_cast<uint32_t>(threads_ - 1)) {
+      done_.notify_one();
     }
-    done_cv_.notify_one();
   }
 }
 
@@ -267,21 +326,17 @@ void ShardEngine::RunUntil(TimePoint t) {
     uint64_t t_busy = 0;
     uint64_t t_wait = 0;
     if (threads_ > 1) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        horizon_ = horizon;
-        workers_running_ = threads_ - 1;
-        ++epoch_;
-      }
-      start_cv_.notify_all();
+      // Every worker finished the last epoch, so nothing races the reset.
+      horizon_ = horizon;
+      done_.store(0, std::memory_order_relaxed);
+      epoch_.fetch_add(1);
+      epoch_.notify_all();
       RunOwnedShards(0, horizon);
       if (prof) {
         t_busy = ProfNowTicks();
       }
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        done_cv_.wait(lk, [&] { return workers_running_ == 0; });
-      }
+      const uint32_t workers = static_cast<uint32_t>(threads_ - 1);
+      SpinYieldPark(done_, [workers](uint32_t d) { return d == workers; }, first_poll_);
       if (prof) {
         t_wait = ProfNowTicks();
       }

@@ -42,16 +42,27 @@
 //
 // Thread→shard assignment is static (worker w owns shards {k : k mod T == w};
 // the caller's thread doubles as worker 0), so a shard's state is only ever
-// touched by one thread per window, and window hand-offs synchronize through
-// a mutex + condition variable — a clean happens-before edge for TSan.
+// touched by one thread per window.
+//
+// Window hand-off. A window holds a handful of events and lasts microseconds,
+// so the hand-off uses two atomic words, each on a cache line of its own, and
+// no lock. The driver writes the horizon and bumps the epoch word (release);
+// each worker acquires the new epoch, runs its shards, and bumps the done
+// counter (release), which the driver waits on (acquire). Those two
+// acquire/release pairs are the happens-before edges that carry shard state,
+// lanes and profiler stats across the barrier (and what TSan checks). Both
+// sides wait in three phases: a short pause spin, a bounded run of yields (so
+// a waiter on an oversubscribed host gives its CPU to the thread it waits
+// for), then a park in std::atomic::wait. A process with fewer CPUs than
+// threads skips the spin. Workers start parked, so building an engine costs
+// no spin.
 
 #ifndef SRC_SIM_SHARD_ENGINE_H_
 #define SRC_SIM_SHARD_ENGINE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -187,6 +198,9 @@ class ShardEngine {
   Options options_;
   Duration window_;
   int threads_ = 1;
+  // Where a hand-off wait starts polling: past the spin phase when the
+  // process has fewer CPUs than threads.
+  int first_poll_ = 0;
   TimePoint now_;
   uint64_t clamped_posts_ = 0;
   ShardEngineProfiler* profiler_ = nullptr;
@@ -201,15 +215,16 @@ class ShardEngine {
   std::vector<PendingPost> merge_posts_;
   std::vector<JournalEntry*> merge_journal_;
 
-  // Window hand-off state, guarded by mu_.
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  uint64_t epoch_ = 0;
-  TimePoint horizon_;
-  int workers_running_ = 0;
-  bool shutdown_ = false;
   std::vector<std::thread> workers_;
+
+  // Window hand-off. The driver writes horizon_ (and, once, shutdown_) before
+  // bumping epoch_; workers read them after acquiring it, so they share its
+  // cache line. done_ counts workers finished with the current epoch and has
+  // a line of its own.
+  alignas(64) std::atomic<uint32_t> epoch_{0};
+  TimePoint horizon_;
+  bool shutdown_ = false;
+  alignas(64) std::atomic<uint32_t> done_{0};
 };
 
 }  // namespace tiger

@@ -235,8 +235,8 @@ class ScopedProfilerInstall {
 // Per-engine profiling state for the sharded engine: one Profiler per shard
 // (written only by the shard's owning thread during a window), padded
 // per-shard busy stats, and driver-side window accounting. The driver reads
-// shard data only at barriers, where the engine's mutex hand-off already
-// gives a happens-before edge.
+// shard data only at barriers: each worker's release bump of the engine's
+// done counter, acquired by the driver, is the happens-before edge.
 class ShardEngineProfiler {
  public:
   struct alignas(64) ShardStats {

@@ -68,6 +68,23 @@ TEST_F(AuditTest, HealthyChainProducesNoDivergence) {
   EXPECT_EQ(checker_.forwards_delivered(), 2);
 }
 
+TEST_F(AuditTest, DoubleForwardedRecordCountsOnceObservedAndOnceDelivered) {
+  // §4.1.1: a cub forwards each record to its successor and its second
+  // successor. Both copies arriving is one healthy delivery of one record,
+  // so the two counters must agree instead of reading like 50% loss.
+  ViewerStateRecord r0 = MakeRecord(0);
+  checker_.OnRecordCreated(Now(), 0, CreateKind::kInsert, r0, RecordLineage{});
+  checker_.OnRecordForwarded(Now(), 0, 1, r0);
+  checker_.OnRecordForwarded(Now(), 0, 2, r0);
+  checker_.OnRecordReceived(Now(), 1, r0, ScheduleView::ApplyResult::kNew);
+  checker_.OnRecordReceived(Now(), 2, r0, ScheduleView::ApplyResult::kNew);
+
+  checker_.CheckNow();
+  EXPECT_TRUE(checker_.healthy());
+  EXPECT_EQ(checker_.forwards_observed(), 1);
+  EXPECT_EQ(checker_.forwards_delivered(), 1);
+}
+
 TEST_F(AuditTest, CorruptedDueIsFlaggedAsDueMismatchOnly) {
   ViewerStateRecord r0 = MakeRecord(0);
   checker_.OnRecordCreated(Now(), 0, CreateKind::kInsert, r0, RecordLineage{});

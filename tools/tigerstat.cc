@@ -133,6 +133,10 @@ bool LoadProfile(const std::string& path, Profile* p, std::string* error) {
 
 double Pct(double num, double den) { return den > 0 ? 100.0 * num / den : 0.0; }
 
+double EventsPerBusyWindow(const Profile& p) {
+  return p.busy_windows > 0 ? p.processed_events / p.busy_windows : 0.0;
+}
+
 void PrintHeader(const Profile& p) {
   std::printf("profile  %s\n", p.path.c_str());
   std::printf("run      engine=%s shards=%d threads=%d window_us=%lld cubs=%d seed=%lld\n",
@@ -191,6 +195,7 @@ void PrintEngineSection(const Profile& p) {
               Pct(p.periodic_tasks_ns, p.total_run_ns), p.periodic_fires, p.hook_runs);
   std::printf("  window utilization %.2f (%.0f of %.0f windows dispatched events)\n",
               p.window_utilization, p.busy_windows, p.windows);
+  std::printf("  events per busy window %.1f\n", EventsPerBusyWindow(p));
   std::printf("\nshard balance (max-shard / mean-shard, per busy window):\n");
   std::printf("  by events     mean %.2f  worst %.2f   (deterministic)\n",
               p.event_imbalance_mean, p.event_imbalance_max);
@@ -239,7 +244,24 @@ void PrintRecommendation(const Profile& p) {
                 p.clamped_posts);
     std::printf("  profile explains a run the engine had to degrade. Fix that first.\n");
   }
-  if (stall > 0.30 && p.busy_imbalance_mean > 1.5) {
+  // Per-window imbalance is only a load signal when windows hold enough events
+  // to spread: 6 events over 8 shards cannot come out even, whatever the
+  // cub->shard map. Below kNearEmptyEventsPerShard per shard the driver waits
+  // on the fixed per-window hand-off, not on a hot shard.
+  constexpr double kNearEmptyEventsPerShard = 4;
+  const double events_per_window = EventsPerBusyWindow(p);
+  const bool near_empty = events_per_window < kNearEmptyEventsPerShard * p.shards;
+  if (stall > 0.30 && near_empty) {
+    std::printf("  barrier stall is %.0f%% of wall and windows are nearly empty:\n", 100 * stall);
+    std::printf("  %.1f events per busy window across %d shards. The driver pays the\n",
+                events_per_window, p.shards);
+    std::printf("  window hand-off for almost no work, and the imbalance (events %.2f,\n",
+                p.event_imbalance_mean);
+    std::printf("  busy time %.2f) is counting noise, not skew; rebalancing will not\n",
+                p.busy_imbalance_mean);
+    std::printf("  help. Fewer threads (sim_threads=%d) or shards raise events per window.\n",
+                std::max(1, p.threads / 2));
+  } else if (stall > 0.30 && p.busy_imbalance_mean > 1.5) {
     std::printf("  barrier stall is %.0f%% of wall and shards are imbalanced\n", 100 * stall);
     std::printf("  (busy-time max/mean %.2f): the driver waits on one hot shard.\n",
                 p.busy_imbalance_mean);
